@@ -425,13 +425,14 @@ let print_figure2 (py : lang_run) =
       in
       let plus = Namer_namepath.Astplus.transform ~origins s.Namer_core.Frontend.tree in
       let digest = Pattern.Stmt_paths.of_tree plus in
-      Pattern.Store.candidates py.namer.Namer.store digest
-      |> List.iter (fun p ->
-             match Pattern.check p digest with
-             | Pattern.Violated info
-               when info.Pattern.found = "True" && info.Pattern.suggested = "Equal" ->
-                 detected := Some p
-             | _ -> ()))
+      Pattern.Store.iter_candidates
+        (fun p ->
+          match Pattern.check p digest with
+          | Pattern.Violated info
+            when info.Pattern.found = "True" && info.Pattern.suggested = "Equal" ->
+              detected := Some p
+          | _ -> ())
+        py.namer.Namer.store digest)
     parsed.Namer_core.Frontend.stmts;
   (match !detected with
   | Some _ ->

@@ -300,9 +300,12 @@ let scale_bench ~jobs ~n_files () =
   ignore (Namer.build_refs (train_cfg n_half) ~lang half);
   let train_half_s = Unix.gettimeofday () -. th0 in
   let train_heap_half_mb = top_heap_mb () in
+  Telemetry.reset ();
   let tf0 = Unix.gettimeofday () in
   let t_full = Namer.build_refs (train_cfg n_files) ~lang refs in
   let train_full_s = Unix.gettimeofday () -. tf0 in
+  let train_stages = Telemetry.stages () in
+  Telemetry.reset ();
   let train_heap_full_mb = top_heap_mb () in
   let train_mem_ratio = train_heap_full_mb /. Float.max 1.0 train_heap_half_mb in
   Printf.printf
@@ -334,6 +337,7 @@ let scale_bench ~jobs ~n_files () =
         ("digest_batch", J.Int Namer.default_config.Namer.digest_batch);
         ("jobs", J.Int jobs);
         ("stages_scan", Telemetry.stages_to_json scan_stages);
+        ("stages_train", Telemetry.stages_to_json train_stages);
       ]
   in
   (json, ok)
@@ -382,7 +386,11 @@ let merge_bench ~jobs ~n_files () =
     let r = f () in
     (r, (Unix.gettimeofday () -. t0) *. 1000.0)
   in
+  Telemetry.reset ();
+  Telemetry.set_sink Telemetry.Memory;
   let t_full, full_ms = time (fun () -> Namer.build cfg corpus) in
+  let train_stages = Telemetry.stages () in
+  Telemetry.reset ();
   let slice files commits =
     { corpus with Corpus.files; injections = []; benigns = []; commits }
   in
@@ -463,6 +471,7 @@ let merge_bench ~jobs ~n_files () =
         ("update_files", J.Int (List.length new_files));
         ("update_ms", J.Float update_ms);
         ("update_speedup", J.Float update_speedup);
+        ("stages_train", Telemetry.stages_to_json train_stages);
       ]
   in
   (json, ok)

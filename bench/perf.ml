@@ -81,8 +81,9 @@ let tests () =
   let match_stmt =
     Test.make ~name:"pattern matching: one statement vs store"
       (Staged.stage (fun () ->
-           Pattern.Store.candidates t.Namer.store digest
-           |> List.iter (fun p -> ignore (Pattern.check p digest))))
+           Pattern.Store.iter_candidates
+             (fun p -> ignore (Pattern.check p digest))
+             t.Namer.store digest))
   in
   let fptree_insert =
     let items = List.init 8 (fun i -> i) in

@@ -548,18 +548,19 @@ let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
           List.iter
             (fun s ->
               Features.Agg.add_stmt agg s.sctx;
-              Pattern.Store.candidates store s.digest
-              |> List.iter (fun (p : Pattern.t) ->
-                     let rel = Pattern.check p s.digest in
-                     Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel;
-                     match rel with
-                     | Pattern.Violated info ->
-                         Hashtbl.replace vfiles s.sctx.Features.file_id ();
-                         Hashtbl.replace vrepos s.sctx.Features.repo_id ();
-                         viols_rev :=
-                           { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] }
-                           :: !viols_rev
-                     | _ -> ()))
+              Pattern.Store.iter_candidates
+                (fun (p : Pattern.t) ->
+                  let rel = Pattern.check p s.digest in
+                  Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel;
+                  match rel with
+                  | Pattern.Violated info ->
+                      Hashtbl.replace vfiles s.sctx.Features.file_id ();
+                      Hashtbl.replace vrepos s.sctx.Features.repo_id ();
+                      viols_rev :=
+                        { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] }
+                        :: !viols_rev
+                  | _ -> ())
+                store s.digest)
             shard;
           (agg, List.rev !viols_rev, vfiles, vrepos))
         stmts
@@ -1363,11 +1364,12 @@ let match_stmts (m : model) stmts : Scan_cache.entry list =
   let raw = ref [] in
   List.iter
     (fun s ->
-      Pattern.Store.candidates m.m_store s.digest
-      |> List.iter (fun (p : Pattern.t) ->
-             match Pattern.check p s.digest with
-             | Pattern.Violated info -> raw := (s, p, info) :: !raw
-             | _ -> ()))
+      Pattern.Store.iter_candidates
+        (fun (p : Pattern.t) ->
+          match Pattern.check p s.digest with
+          | Pattern.Violated info -> raw := (s, p, info) :: !raw
+          | _ -> ())
+        m.m_store s.digest)
     stmts;
   let dedup = Hashtbl.create 16 in
   List.iter
@@ -1450,17 +1452,30 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
                 in
                 (r.fr_path, d, `Miss (stmts, skip))))
   in
+  let match_row (path, d, outcome) =
+    match outcome with
+    | `Hit entries -> (path, d, entries, None, true)
+    | `Miss (stmts, skip) -> (path, d, match_stmts m stmts, skip, false)
+  in
   let n_hits = ref 0 and n_misses = ref 0 in
   let rows_rev = ref [] in
   List.iter
     (fun batch ->
-      (* two-phase, mirroring [build_core]: sharded digest into local
-         tables, remap into the global id space in shard order, then match
-         sharded — the store and interner are read-only by then *)
-      let digested =
+      let matched =
         match pool with
-        | None -> List.map (fun r -> process r) batch
+        | None ->
+            (* sequential: the digest interns straight into the global id
+               space, so each file is matched as soon as it is digested and
+               only one file's statements are live at a time *)
+            List.map
+              (fun r ->
+                let row = process r in
+                Telemetry.with_span "scan" @@ fun () -> match_row row)
+              batch
         | Some _ ->
+            (* two-phase, mirroring [build_core]: sharded digest into local
+               tables, remap into the global id space in shard order, then
+               match sharded — the store and interner are read-only by then *)
             let parts =
               Accumulator.sharded_map ?pool ~shards
                 ~key:(fun r -> r.fr_repo)
@@ -1469,37 +1484,29 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
                   (table, List.map (process ~table) rs))
                 batch
             in
-            Telemetry.with_span "digest:remap" @@ fun () ->
-            List.concat_map
-              (fun (table, outs) ->
-                let mp = Namepath.Interned.remap_into_global table in
-                List.map
-                  (fun (path, d, outcome) ->
-                    match outcome with
-                    | `Hit _ as hit -> (path, d, hit)
-                    | `Miss (stmts, skip) ->
-                        ( path, d,
-                          `Miss
-                            ( List.map
-                                (fun s ->
-                                  { s with
-                                    digest = Pattern.Stmt_paths.remap mp s.digest
-                                  })
-                                stmts, skip ) ))
-                  outs)
-              parts
-      in
-      let matched =
-        Telemetry.with_span "scan" @@ fun () ->
-        Accumulator.sharded_concat_map ?pool ~shards
-          (fun part ->
-            List.map
-              (fun (path, d, outcome) ->
-                match outcome with
-                | `Hit entries -> (path, d, entries, None, true)
-                | `Miss (stmts, skip) -> (path, d, match_stmts m stmts, skip, false))
-              part)
-          digested
+            let digested =
+              Telemetry.with_span "digest:remap" @@ fun () ->
+              List.concat_map
+                (fun (table, outs) ->
+                  let mp = Namepath.Interned.remap_into_global table in
+                  List.map
+                    (fun (path, d, outcome) ->
+                      match outcome with
+                      | `Hit _ as hit -> (path, d, hit)
+                      | `Miss (stmts, skip) ->
+                          ( path, d,
+                            `Miss
+                              ( List.map
+                                  (fun s ->
+                                    { s with
+                                      digest = Pattern.Stmt_paths.remap mp s.digest
+                                    })
+                                  stmts, skip ) ))
+                    outs)
+                parts
+            in
+            Telemetry.with_span "scan" @@ fun () ->
+            Accumulator.sharded_concat_map ?pool ~shards (List.map match_row) digested
       in
       List.iter
         (fun ((_, d, entries, skip, was_hit) as row) ->

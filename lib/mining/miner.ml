@@ -210,31 +210,6 @@ let combinations ~max_subset_size (conds : 'a list) : 'a list list =
 (* minePatterns (Algorithm 1)                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-shard pattern statistics merge: plain integer sums, so the merged
-   table is independent of the shard plan. *)
-module Stats_acc = struct
-  type t = (int, pattern_stats) Hashtbl.t
-
-  let empty () : t = Hashtbl.create (1 lsl 10)
-
-  let stat (t : t) id =
-    match Hashtbl.find_opt t id with
-    | Some s -> s
-    | None ->
-        let s = { matches = 0; sats = 0; viols = 0 } in
-        Hashtbl.replace t id s;
-        s
-
-  let merge ~into (t : t) =
-    Hashtbl.iter
-      (fun id (s : pattern_stats) ->
-        let d = stat into id in
-        d.matches <- d.matches + s.matches;
-        d.sats <- d.sats + s.sats;
-        d.viols <- d.viols + s.viols)
-      t
-end
-
 module Freq_acc = struct
   type t = int Namer_util.Counter.t
 
@@ -380,28 +355,41 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
     (fun p -> ignore (Pattern.Store.add_nodedup candidate_store p))
     (List.rev !cand_rev);
   (* The store is fully built and read-only from here on, so shards can
-     match against it concurrently; each shard tallies into its own table. *)
+     match against it concurrently.  Each shard tallies into a dense array
+     indexed by candidate id — slot [2 id] satisfactions, [2 id + 1]
+     violations, so [relate]'s 1/2 answer is the slot offset and a match is
+     their sum — and shards merge by element-wise addition in shard order:
+     the totals are independent of the shard plan. *)
+  let n_slots = 2 * Pattern.Store.size candidate_store in
+  let module Counts = struct
+    type t = int array
+
+    let empty () = Array.make n_slots 0
+
+    let merge ~into t =
+      for i = 0 to n_slots - 1 do
+        into.(i) <- into.(i) + t.(i)
+      done
+  end in
   let counts =
     Namer_parallel.Accumulator.sharded_reduce
-      (module Stats_acc)
+      (module Counts)
       ?pool ~shards
       (fun shard ->
-        let counts = Stats_acc.empty () in
+        let counts = Counts.empty () and checks = ref 0 in
         List.iter
           (fun s ->
-            Pattern.Store.candidates candidate_store s
-            |> List.iter (fun (p : Pattern.t) ->
-                   match Pattern.check p s with
-                   | Pattern.No_match -> ()
-                   | Pattern.Satisfied ->
-                       let st = Stats_acc.stat counts p.id in
-                       st.matches <- st.matches + 1;
-                       st.sats <- st.sats + 1
-                   | Pattern.Violated _ ->
-                       let st = Stats_acc.stat counts p.id in
-                       st.matches <- st.matches + 1;
-                       st.viols <- st.viols + 1))
+            Pattern.Store.iter_candidates
+              (fun (p : Pattern.t) ->
+                incr checks;
+                let r = Pattern.relate p s in
+                if r > 0 then begin
+                  let slot = (2 * p.id) + r - 1 in
+                  counts.(slot) <- counts.(slot) + 1
+                end)
+              candidate_store s)
           shard;
+        Telemetry.count ~by:!checks "mine.prune.checks";
         counts)
       stmts
   in
@@ -409,14 +397,15 @@ let mine ?pool ~(config : config) ~kind ~(pairs : Confusing_pairs.t)
   let dataset_stats = Hashtbl.create (1 lsl 12) in
   Pattern.Store.iter
     (fun p ->
-      match Hashtbl.find_opt counts p.id with
-      | Some st
-        when st.matches >= config.min_support
-             && float_of_int st.sats /. float_of_int st.matches
-                >= config.min_satisfaction_ratio ->
-          let new_id = Pattern.Store.add store { p with id = -1 } in
-          Hashtbl.replace dataset_stats new_id
-            { matches = st.matches; sats = st.sats; viols = st.viols }
-      | _ -> ())
+      let sats = counts.(2 * p.id) and viols = counts.((2 * p.id) + 1) in
+      let matches = sats + viols in
+      if
+        matches > 0
+        && matches >= config.min_support
+        && float_of_int sats /. float_of_int matches >= config.min_satisfaction_ratio
+      then begin
+        let new_id = Pattern.Store.add store { p with id = -1 } in
+        Hashtbl.replace dataset_stats new_id { matches; sats; viols }
+      end)
     candidate_store;
   { store; dataset_stats; n_candidates }

@@ -183,15 +183,15 @@ module Stmt_paths = struct
     of_interned (Namepath.extract_interned ?table ?limit tree)
   let paths t = Array.to_list (Array.map (fun (it : I.t) -> it.I.np) t.ipaths)
 
+  (* A top-level loop over the two index arrays: no closure, no
+     allocation — this is the innermost call of every pattern check. *)
+  let rec find_end (prefixes : int array) (ends : int array) (prefix : int) i =
+    if i >= Array.length prefixes then -1
+    else if prefixes.(i) = prefix then ends.(i)
+    else find_end prefixes ends prefix (i + 1)
+
   (** End id at [prefix], or [-1] when the prefix does not occur. *)
-  let end_id t ~prefix =
-    let n = Array.length t.index_prefix in
-    let rec go i =
-      if i >= n then -1
-      else if t.index_prefix.(i) = prefix then t.index_end.(i)
-      else go (i + 1)
-    in
-    go 0
+  let end_id t ~prefix = find_end t.index_prefix t.index_end prefix 0
 
   (** The distinct concrete prefix ids, leaf order — the digest's own index,
       shared, not rebuilt per call. *)
@@ -235,70 +235,76 @@ type violation_info = {
 
 type relation = No_match | Satisfied | Violated of violation_info
 
-(** [check p s] classifies statement digest [s] against pattern [p].  Pure
-    integer comparisons on the hot path; strings are only rendered for the
-    [Violated] payload. *)
-let check (p : t) (s : Stmt_paths.t) : relation =
+(* The condition test: every condition prefix present, with the wanted end
+   (or any end, for ϵ).  A top-level loop, so checking allocates nothing. *)
+let rec condition_holds s (cond : (int * int) array) i =
+  i >= Array.length cond
+  ||
+  let pfx, want = cond.(i) in
+  let got = Stmt_paths.end_id s ~prefix:pfx in
+  got >= 0 && (want = -1 || want = got) && condition_holds s cond (i + 1)
+
+(** [relate p s] is the one decision procedure behind {!check}: [0] when
+    [s] does not match [p], [1] when it satisfies it, [2] when it violates
+    it.  Integer comparisons only — nothing is allocated, which is what the
+    corpus-wide counting pass of [pruneUncommon] runs. *)
+let relate (p : t) (s : Stmt_paths.t) : int =
   let c = ensure_compiled p in
-  let condition_holds =
-    Array.for_all
-      (fun (pfx, want) ->
-        let got = Stmt_paths.end_id s ~prefix:pfx in
-        got >= 0 && (want = -1 || want = got))
-      c.c_cond
-  in
-  if not condition_holds then No_match
+  if not (condition_holds s c.c_cond 0) then 0
   else
     match c.c_kind with
     | C_consistency ->
         let e1 = Stmt_paths.end_id s ~prefix:c.c_ded.(0)
         and e2 = Stmt_paths.end_id s ~prefix:c.c_ded.(1) in
-        if e1 < 0 || e2 < 0 then No_match
+        if e1 < 0 || e2 < 0 then 0
           (* Case-insensitive: [stringWriter] is consistent with its
              [StringWriter] type; [camelCase] with [snake_case] renderings. *)
-        else if I.lower_end e1 = I.lower_end e2 then Satisfied
-        else
-          Violated
-            {
-              offending_prefix = I.prefix_name c.c_ded.(1);
-              found = I.end_name e2;
-              suggested = I.end_name e1;
-            }
-    | C_confusing correct -> (
+        else if I.lower_end e1 = I.lower_end e2 then 1
+        else 2
+    | C_confusing correct ->
         let e = Stmt_paths.end_id s ~prefix:c.c_ded.(0) in
-        if e < 0 then No_match
-        else if e = correct then Satisfied
-        else
-          match p.kind with
-          | Confusing_word { correct } ->
-              Violated
-                {
-                  offending_prefix = I.prefix_name c.c_ded.(0);
-                  found = I.end_name e;
-                  suggested = correct;
-                }
-          | _ -> assert false)
+        if e < 0 then 0 else if e = correct then 1 else 2
     | C_ordering (first, second) ->
         let e1 = Stmt_paths.end_id s ~prefix:c.c_ded.(0)
         and e2 = Stmt_paths.end_id s ~prefix:c.c_ded.(1) in
-        if e1 < 0 || e2 < 0 then No_match
-        else if e1 = first && e2 = second then Satisfied
+        if e1 < 0 || e2 < 0 then 0
+        else if e1 = first && e2 = second then 1
           (* only the exact swap is a violation; unrelated words at these
              positions are not this pattern's business *)
-        else if e1 = second && e2 = first then (
-          match p.kind with
-          | Ordering { first; second } ->
-              Violated
-                {
-                  offending_prefix = I.prefix_name c.c_ded.(0);
-                  found = second;
-                  suggested = first;
-                }
-          | _ -> assert false)
-        else No_match
+        else if e1 = second && e2 = first then 2
+        else 0
     | C_malformed ->
         invalid_arg
           "Pattern.check: malformed pattern (deduction arity does not match kind)"
+
+(* What a violation found and what it deduces, rendered from the compiled
+   form — called only once {!relate} has said "violated". *)
+let violation_info (p : t) (s : Stmt_paths.t) =
+  let c = ensure_compiled p in
+  match p.kind with
+  | Consistency ->
+      {
+        offending_prefix = I.prefix_name c.c_ded.(1);
+        found = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(1));
+        suggested = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(0));
+      }
+  | Confusing_word { correct } ->
+      {
+        offending_prefix = I.prefix_name c.c_ded.(0);
+        found = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(0));
+        suggested = correct;
+      }
+  | Ordering { first; second } ->
+      { offending_prefix = I.prefix_name c.c_ded.(0); found = second; suggested = first }
+
+(** [check p s] classifies statement digest [s] against pattern [p]:
+    {!relate}, plus the [Violated] payload, whose strings are rendered only
+    on violation. *)
+let check (p : t) (s : Stmt_paths.t) : relation =
+  match relate p s with
+  | 0 -> No_match
+  | 1 -> Satisfied
+  | _ -> Violated (violation_info p s)
 
 (* ------------------------------------------------------------------ *)
 (* Pattern store and matching index                                    *)
@@ -307,14 +313,21 @@ let check (p : t) (s : Stmt_paths.t) : relation =
 module Store = struct
   (** A deduplicated collection of patterns with an inverted index from
       deduction-prefix ids to the patterns constraining them.  Every
-      pattern's deduction prefix must be present in a statement for the
-      pattern to match, so bucketing by that id lets a scan consider only
-      the patterns that could possibly match each statement. *)
+      pattern's first deduction prefix must be present in a statement for
+      the pattern to match, so bucketing by that id lets a scan consider
+      only the patterns that could possibly match each statement.
+
+      The index is dense: [buckets.(k)] holds the ids of the patterns whose
+      first deduction prefix is [k], oldest first, in its first
+      [bucket_len.(k)] slots.  Each pattern therefore sits in exactly one
+      bucket — or in none, when it has no deduction or its prefix is the
+      never-matching [-2] sentinel (no digest carries a negative prefix). *)
   type nonrec t = {
     mutable patterns : t array;
     mutable n : int;
     by_canonical : (string, int) Hashtbl.t;
-    by_deduction_prefix : (int, int list ref) Hashtbl.t;
+    mutable buckets : int array array;
+    mutable bucket_len : int array;
   }
 
   let dummy =
@@ -325,31 +338,45 @@ module Store = struct
       patterns = Array.make 256 dummy;
       n = 0;
       by_canonical = Hashtbl.create 1024;
-      by_deduction_prefix = Hashtbl.create 1024;
+      buckets = [||];
+      bucket_len = [||];
     }
 
   let size t = t.n
   let get t id = t.patterns.(id)
 
+  (* Doubling growth for the pattern array, the bucket table and each
+     bucket: amortized O(1) per insert. *)
+  let grow arr ~min_len fill =
+    let len = Array.length arr in
+    if min_len <= len then arr
+    else begin
+      let bigger = Array.make (max min_len (2 * len)) fill in
+      Array.blit arr 0 bigger 0 len;
+      bigger
+    end
+
+  let index t ~prefix id =
+    if prefix >= Array.length t.buckets then begin
+      t.buckets <- grow t.buckets ~min_len:(prefix + 1) [||];
+      t.bucket_len <- grow t.bucket_len ~min_len:(prefix + 1) 0
+    end;
+    let len = t.bucket_len.(prefix) in
+    let b = grow t.buckets.(prefix) ~min_len:(len + 1) 0 in
+    b.(len) <- id;
+    t.buckets.(prefix) <- b;
+    t.bucket_len.(prefix) <- len + 1
+
   (* Insert without canonical-text dedup: the caller guarantees uniqueness.
      Compiles eagerly so later (possibly sharded) checks never intern. *)
   let insert t p =
     let id = t.n in
-    if id >= Array.length t.patterns then begin
-      let bigger = Array.make (2 * Array.length t.patterns) dummy in
-      Array.blit t.patterns 0 bigger 0 t.n;
-      t.patterns <- bigger
-    end;
+    t.patterns <- grow t.patterns ~min_len:(id + 1) dummy;
     let p = { p with id } in
     let c = ensure_compiled p in
     t.patterns.(id) <- p;
     t.n <- id + 1;
-    if Array.length c.c_ded > 0 then begin
-      let dkey = c.c_ded.(0) in
-      match Hashtbl.find_opt t.by_deduction_prefix dkey with
-      | Some l -> l := id :: !l
-      | None -> Hashtbl.replace t.by_deduction_prefix dkey (ref [ id ])
-    end;
+    if Array.length c.c_ded > 0 && c.c_ded.(0) >= 0 then index t ~prefix:c.c_ded.(0) id;
     id
 
   (** [add t p] registers [p] (deduplicating by canonical form) and returns
@@ -369,25 +396,29 @@ module Store = struct
       {!add}'s canonical dedup. *)
   let add_nodedup t p = insert t p
 
-  (** All patterns whose deduction prefix occurs in the statement — the
-      candidate set for a full {!check}.  Drives off the digest's prefix-id
-      index; no strings, no per-call key list. *)
-  let candidates t (s : Stmt_paths.t) =
-    let seen = Hashtbl.create 16 in
+  (** [iter_candidates f t s] applies [f] to every pattern whose first
+      deduction prefix occurs in [s] — the candidate set for a full
+      {!check} — allocating nothing.  Order: the digest's prefixes in leaf
+      order, newest pattern first within each bucket.  No pattern is
+      visited twice: each sits in one bucket and a digest's prefix ids are
+      distinct. *)
+  let iter_candidates f t (s : Stmt_paths.t) =
+    let pfx = s.Stmt_paths.index_prefix in
+    for i = 0 to Array.length pfx - 1 do
+      let k = pfx.(i) in
+      if k < Array.length t.bucket_len then begin
+        let b = t.buckets.(k) in
+        for j = t.bucket_len.(k) - 1 downto 0 do
+          f t.patterns.(b.(j))
+        done
+      end
+    done
+
+  (** {!iter_candidates} collected into a list, for callers off the hot
+      path. *)
+  let candidates t s =
     let acc = ref [] in
-    Array.iter
-      (fun pfx ->
-        match Hashtbl.find_opt t.by_deduction_prefix pfx with
-        | Some l ->
-            List.iter
-              (fun id ->
-                if not (Hashtbl.mem seen id) then begin
-                  Hashtbl.replace seen id ();
-                  acc := get t id :: !acc
-                end)
-              !l
-        | None -> ())
-      (Stmt_paths.prefix_ids s);
+    iter_candidates (fun p -> acc := p :: !acc) t s;
     List.rev !acc
 
   let iter f t =

@@ -87,8 +87,13 @@ type violation_info = {
 
 type relation = No_match | Satisfied | Violated of violation_info
 
-(** Classify a statement against a pattern per Definitions 3.7/3.9 —
-    integer comparisons only on the hot path. *)
+(** The one decision procedure of Definitions 3.7/3.9: [0] no match, [1]
+    satisfied, [2] violated.  Integer comparisons only; allocates nothing.
+    @raise Invalid_argument on a malformed pattern whose condition holds. *)
+val relate : t -> Stmt_paths.t -> int
+
+(** {!relate} with the [Violated] payload, whose strings are rendered only
+    on violation. *)
 val check : t -> Stmt_paths.t -> relation
 
 (** Force the memoized compiled form (done automatically by {!Store.add}
@@ -113,8 +118,15 @@ module Store : sig
       deduplicated in id space (the miner's candidate store). *)
   val add_nodedup : t -> pattern -> int
 
-  (** Patterns whose deduction prefix occurs in the statement — the
-      candidate set for {!check}. *)
+  (** [iter_candidates f t s] applies [f] to every pattern whose first
+      deduction prefix occurs in [s] — the candidate set for {!check} —
+      allocating nothing.  Order: [s]'s prefixes in leaf order, newest
+      pattern first within each prefix's bucket; no pattern twice.
+      Training's violation order and the scan's first-wins-ties report
+      dedup depend on this order. *)
+  val iter_candidates : (pattern -> unit) -> t -> Stmt_paths.t -> unit
+
+  (** {!iter_candidates} collected into a list, in the same order. *)
   val candidates : t -> Stmt_paths.t -> pattern list
 
   val iter : (pattern -> unit) -> t -> unit

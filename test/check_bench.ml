@@ -40,6 +40,10 @@
    faster than retraining from scratch — incrementality has to pay for
    its format.
 
+   The [scale] and [merge] sections also record the stage table of the
+   train they time ([stages_train]); the gate prints their [mine:prune]
+   row and its delta against the baseline without gating it.
+
    Accepts every baseline schema: the original flat stage map (schema 1)
    and the {schema: 2|..|7, stages, stages_parallel, ...} envelopes, so
    the gate keeps working across baseline refreshes.
@@ -314,6 +318,33 @@ let () =
             fresh_path ratio
     | _ -> fail "%s: merge object lacks update_speedup/update_ms" fresh_path
   end;
+  (* prune at scale: the [mine:prune] row of the timed train in the
+     [scale] and [merge] sections, with its delta against the baseline —
+     reported, not gated (a baseline without the row prints it alone) *)
+  let prune_row json section =
+    let ( let* ) = Option.bind in
+    let* sec = assoc section json in
+    let* stages = assoc "stages_train" sec in
+    let* row = assoc "mine:prune" stages in
+    let* wall = number (assoc "wall_ms" row) in
+    let* alloc = number (assoc "alloc_mb" row) in
+    Some (wall, alloc)
+  in
+  List.iter
+    (fun section ->
+      match (prune_row fresh section, prune_row baseline section) with
+      | Some (wall, alloc), Some (base_wall, base_alloc) ->
+          Printf.printf
+            "%s train mine:prune: %.0f ms, %.0f MB vs baseline %.0f ms, %.0f MB \
+             (%+.0f%% wall, %+.0f%% alloc)\n"
+            section wall alloc base_wall base_alloc
+            (100.0 *. ((wall /. Float.max 1e-9 base_wall) -. 1.0))
+            (100.0 *. ((alloc /. Float.max 1e-9 base_alloc) -. 1.0))
+      | Some (wall, alloc), None ->
+          Printf.printf "%s train mine:prune: %.0f ms, %.0f MB (no baseline row)\n"
+            section wall alloc
+      | None, _ -> ())
+    [ "scale"; "merge" ];
   (* build allocation: a schema>=2 baseline pins it; a 1.5x growth fails *)
   (match
      ( List.assoc_opt "build" (stage_field "alloc_mb" fresh_path fresh),

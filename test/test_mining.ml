@@ -307,3 +307,104 @@ let ordering_suite =
   ]
 
 let suite = suite @ ordering_suite
+
+(* ---------------- reference miner ---------------- *)
+
+(* Small corpora of statements over a fixed shape vocabulary.  Each prefix
+   has a usual end, so rules with enough support and satisfaction exist,
+   and a spread of others (case variants, a confusing pair's words, a
+   literal) so that some are violated and some are pruned. *)
+let ref_shapes =
+  [|
+    ("Assign 0 AttributeStore 1 Attr 0 NumST(1) 0", "name");
+    ("Assign 1 NameLoad 0 NumST(1) 0", "name");
+    ("NumArgs(2) 0 Call 0 AttributeLoad 1 Attr 0 NumST(1) 0", "Equal");
+    ("NumArgs(2) 0 Call 1 NameLoad 0 NumST(1) 0", "width");
+    ("NumArgs(2) 0 Call 2 NameLoad 0 NumST(1) 0", "height");
+    ("Return 0 NameLoad 0 NumST(1) 0", "self");
+  |]
+
+let ref_ends = [| "name"; "Name"; "width"; "height"; "Equal"; "True"; "NUM"; "self" |]
+
+let ref_pairs () =
+  let pairs = Confusing_pairs.create () in
+  Confusing_pairs.add_pair pairs ("True", "Equal");
+  Confusing_pairs.add_pair pairs ("Name", "name");
+  pairs
+
+let ref_config =
+  {
+    Miner.min_path_freq = 2;
+    max_stmt_paths = 5;
+    max_condition_paths = 3;
+    max_subset_size = 2;
+    min_support = 3;
+    min_satisfaction_ratio = 0.8;
+  }
+
+let ref_kinds =
+  [ ("consistency", `Consistency); ("confusing", `Confusing);
+    ("ordering", `Ordering [ ("width", "height"); ("name", "self") ]) ]
+
+(* a random subset of shapes in a random leaf order; each shape takes its
+   usual end [weight] times out of [weight + 1] *)
+let ref_stmt_gen ~weight =
+  let open QCheck.Gen in
+  shuffle_l (Array.to_list ref_shapes) >>= fun shapes ->
+  int_range 1 (List.length shapes) >>= fun n ->
+  flatten_l
+    (List.map
+       (fun (prefix, usual) ->
+         map (fun e -> (prefix, e)) (frequency [ (weight, return usual); (1, oneofa ref_ends) ]))
+       (List.filteri (fun i _ -> i < n) shapes))
+
+let ref_digest stmt =
+  Pattern.Stmt_paths.of_paths (List.map (fun (p, e) -> np (p ^ " " ^ e)) stmt)
+
+let ref_agrees ~kind stmts =
+  let pairs = ref_pairs () in
+  let digests = List.map ref_digest stmts in
+  Ref_miner.mine ~config:ref_config ~kind ~pairs digests
+  = Ref_miner.of_result (Miner.mine ~config:ref_config ~kind ~pairs digests)
+
+let prop_ref_miner =
+  QCheck.Test.make ~name:"miner ≡ brute-force Algorithm 1 (all kinds)" ~count:150
+    (QCheck.make
+       ~print:(fun stmts ->
+         String.concat "\n"
+           (List.map
+              (fun st -> String.concat " ; " (List.map (fun (p, e) -> p ^ " " ^ e) st))
+              stmts))
+       QCheck.Gen.(int_range 2 10 >>= fun weight -> list_size (int_range 5 40) (ref_stmt_gen ~weight)))
+    (fun stmts -> List.for_all (fun (_, kind) -> ref_agrees ~kind stmts) ref_kinds)
+
+(* One fixed corpus, so the comparison is known not to be vacuous: every
+   kind keeps patterns, and pruning drops some candidates. *)
+let test_ref_miner_fixed () =
+  let stmts =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 7 |]) ~n:80 (ref_stmt_gen ~weight:8)
+  in
+  let pairs = ref_pairs () in
+  let digests = List.map ref_digest stmts in
+  let pruned =
+    List.map
+      (fun (name, kind) ->
+        let expect, n_expect = Ref_miner.mine ~config:ref_config ~kind ~pairs digests in
+        let got, n_got =
+          Ref_miner.of_result (Miner.mine ~config:ref_config ~kind ~pairs digests)
+        in
+        check_int (name ^ ": candidates") n_expect n_got;
+        check_bool (name ^ ": same kept patterns and dataset stats") true (expect = got);
+        check_bool (name ^ ": keeps some") true (expect <> []);
+        n_expect - List.length expect)
+      ref_kinds
+  in
+  check_bool "pruning drops candidates" true (List.exists (fun n -> n > 0) pruned)
+
+let ref_miner_suite =
+  [
+    Alcotest.test_case "reference miner: fixed corpus" `Quick test_ref_miner_fixed;
+    QCheck_alcotest.to_alcotest prop_ref_miner;
+  ]
+
+let suite = suite @ ref_miner_suite

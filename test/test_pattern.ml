@@ -305,3 +305,354 @@ let ordering_suite =
   ]
 
 let suite = suite @ ordering_suite
+
+(* ---------------- relate ≡ check ---------------- *)
+
+(* A string-level reading of Definitions 3.7/3.9, the oracle for both
+   [relate] and [check]: a prefix's end is that of the first concrete path
+   at it; an unknown prefix or word simply occurs in no statement. *)
+type pdesc = {
+  d_kind : [ `Cons | `Conf of string | `Ord of string * string ];
+  d_cond : (string * string option) list;  (** prefix, wanted end (None = ϵ) *)
+  d_ded : string list;  (** deduction prefixes *)
+}
+
+let path_of prefix end_node =
+  np (prefix ^ " " ^ Option.value end_node ~default:"ϵ")
+
+let pattern_of_desc d =
+  let kind =
+    match d.d_kind with
+    | `Cons -> Pattern.Consistency
+    | `Conf correct -> Pattern.Confusing_word { correct }
+    | `Ord (first, second) -> Pattern.Ordering { first; second }
+  in
+  Pattern.make ~kind
+    ~condition:(List.map (fun (p, w) -> path_of p w) d.d_cond)
+    ~deduction:(List.map (fun p -> path_of p None) d.d_ded)
+
+let spec_end stmt prefix =
+  List.find_map (fun (p, e) -> if p = prefix then e else None) stmt
+
+(* [`Rel 0|1], [`Viol (offending prefix, found, suggested)] or [`Raise] *)
+let spec_relation d stmt =
+  let holds (p, want) =
+    match (spec_end stmt p, want) with
+    | None, _ -> false
+    | Some _, None -> true
+    | Some got, Some w -> got = w
+  in
+  if not (List.for_all holds d.d_cond) then `Rel 0
+  else
+    match (d.d_kind, d.d_ded) with
+    | `Cons, [ a; b ] -> (
+        match (spec_end stmt a, spec_end stmt b) with
+        | Some e1, Some e2 ->
+            if String.lowercase_ascii e1 = String.lowercase_ascii e2 then `Rel 1
+            else `Viol (b, e2, e1)
+        | _ -> `Rel 0)
+    | `Conf correct, [ a ] -> (
+        match spec_end stmt a with
+        | None -> `Rel 0
+        | Some e -> if e = correct then `Rel 1 else `Viol (a, e, correct))
+    | `Ord (first, second), [ a; b ] -> (
+        match (spec_end stmt a, spec_end stmt b) with
+        | Some e1, Some e2 ->
+            if e1 = first && e2 = second then `Rel 1
+            else if e1 = second && e2 = first then `Viol (a, second, first)
+            else `Rel 0
+        | _ -> `Rel 0)
+    | _ -> `Raise
+
+let observed_relate p s =
+  match Pattern.relate p s with
+  | 0 -> `Rel 0
+  | 1 -> `Rel 1
+  | 2 -> `Rel 2
+  | r -> `Bad r
+  | exception Invalid_argument _ -> `Raise
+
+let observed_check p s =
+  match Pattern.check p s with
+  | Pattern.No_match -> `Rel 0
+  | Pattern.Satisfied -> `Rel 1
+  | Pattern.Violated i -> `Viol (i.Pattern.offending_prefix, i.Pattern.found, i.Pattern.suggested)
+  | exception Invalid_argument _ -> `Raise
+
+(* relate's code agrees with check's constructor, and check with the spec *)
+let relation_agrees d stmt_paths s =
+  let spec = spec_relation d stmt_paths in
+  let p = pattern_of_desc d in
+  let r = observed_relate p s and c = observed_check p s in
+  let relate_ok =
+    match (r, c) with
+    | `Rel 2, `Viol _ | `Raise, `Raise -> true
+    | `Rel a, `Rel b -> a = b
+    | _ -> false
+  in
+  relate_ok && c = spec
+
+let rel_prefixes = [| "S 0 A 0"; "S 1 B 0"; "S 2 C 0"; "S 3 D 0" |]
+let rel_ends = [| "x"; "X"; "y"; "Y"; "z" |]
+
+(* Strings never interned: only ever looked up while the table is frozen,
+   where they compile to the never-matching [-2] sentinel. *)
+let unseen_prefix = "S 9 Unseen 0"
+let unseen_end = "never-interned-subtoken"
+
+let rel_case_gen =
+  let open QCheck.Gen in
+  bool >>= fun frozen ->
+  let pick arr unseen =
+    if frozen then frequency [ (6, oneofa arr); (1, return unseen) ] else oneofa arr
+  in
+  let pfx = pick rel_prefixes unseen_prefix and word = pick rel_ends unseen_end in
+  let want = frequency [ (3, map Option.some word); (1, return None) ] in
+  let kind =
+    frequency
+      [
+        (1, return `Cons);
+        (1, map (fun w -> `Conf w) word);
+        (1, map2 (fun a b -> `Ord (a, b)) word word);
+      ]
+  in
+  let desc =
+    kind >>= fun d_kind ->
+    let arity = match d_kind with `Conf _ -> 1 | _ -> 2 in
+    frequency [ (8, return arity); (1, int_range 0 3) ] >>= fun n_ded ->
+    list_repeat n_ded pfx >>= fun d_ded ->
+    list_size (int_range 0 3) (pair pfx want) >>= fun d_cond ->
+    return { d_kind; d_cond; d_ded }
+  in
+  let stmt_path =
+    pair (oneofa rel_prefixes)
+      (frequency [ (5, map Option.some (oneofa rel_ends)); (1, return None) ])
+  in
+  triple (return frozen)
+    (list_size (int_range 1 8) desc)
+    (list_size (int_range 1 8) (list_size (int_range 0 6) stmt_path))
+
+let rel_case_print (frozen, descs, stmts) =
+  let pd d =
+    let k =
+      match d.d_kind with
+      | `Cons -> "cons"
+      | `Conf w -> "conf->" ^ w
+      | `Ord (a, b) -> Printf.sprintf "ord(%s<%s)" a b
+    in
+    Printf.sprintf "%s cond=[%s] ded=[%s]" k
+      (String.concat "; "
+         (List.map (fun (p, w) -> p ^ " " ^ Option.value w ~default:"ϵ") d.d_cond))
+      (String.concat "; " d.d_ded)
+  in
+  let ps s =
+    String.concat "; " (List.map (fun (p, e) -> p ^ " " ^ Option.value e ~default:"ϵ") s)
+  in
+  Printf.sprintf "frozen=%b\npatterns:\n  %s\nstmts:\n  %s" frozen
+    (String.concat "\n  " (List.map pd descs))
+    (String.concat "\n  " (List.map ps stmts))
+
+(* Digests are interned first; patterns are compiled (lazily, on first
+   relate) afterwards, under a frozen table in half the cases. *)
+let prop_relate_is_check =
+  QCheck.Test.make ~name:"pattern: relate ≡ check ≡ spec" ~count:300
+    (QCheck.make ~print:rel_case_print rel_case_gen)
+    (fun (frozen, descs, stmts) ->
+      let digests =
+        List.map
+          (fun st ->
+            (st, Pattern.Stmt_paths.of_paths (List.map (fun (p, e) -> path_of p e) st)))
+          stmts
+      in
+      let run () =
+        List.for_all
+          (fun d -> List.for_all (fun (st, s) -> relation_agrees d st s) digests)
+          descs
+      in
+      if frozen then begin
+        Namepath.Interned.freeze ();
+        Fun.protect ~finally:Namepath.Interned.thaw run
+      end
+      else run ())
+
+(* The corner cases the property must reach, pinned explicitly. *)
+let test_relate_corners () =
+  let stmt = [ ("S 0 A 0", Some "x"); ("S 1 B 0", Some "X"); ("S 2 C 0", Some "y") ] in
+  let s = Pattern.Stmt_paths.of_paths (List.map (fun (p, e) -> path_of p e) stmt) in
+  let d kind cond ded = { d_kind = kind; d_cond = cond; d_ded = ded } in
+  let expect name code desc =
+    check_bool name true (relation_agrees desc stmt s);
+    Alcotest.(check string)
+      name code
+      (match observed_relate (pattern_of_desc desc) s with
+      | `Rel r -> string_of_int r
+      | `Raise -> "raise"
+      | `Bad r -> "bad " ^ string_of_int r)
+  in
+  expect "ϵ want matches any end" "1" (d `Cons [ ("S 2 C 0", None) ] [ "S 0 A 0"; "S 1 B 0" ]);
+  expect "case-differing consistency ends satisfy" "1" (d `Cons [] [ "S 0 A 0"; "S 1 B 0" ]);
+  expect "consistency violation" "2" (d `Cons [] [ "S 0 A 0"; "S 2 C 0" ]);
+  expect "exact ordering swap violates" "2" (d (`Ord ("y", "x")) [] [ "S 0 A 0"; "S 2 C 0" ]);
+  expect "ordering in order satisfies" "1" (d (`Ord ("x", "y")) [] [ "S 0 A 0"; "S 2 C 0" ]);
+  expect "non-exact ordering swap is no match" "0"
+    (d (`Ord ("y", "z")) [] [ "S 0 A 0"; "S 2 C 0" ]);
+  expect "malformed raises when its condition holds" "raise" (d `Cons [] [ "S 0 A 0" ]);
+  expect "malformed is no match when its condition fails" "0"
+    (d `Cons [ ("S 3 D 0", None) ] [ "S 0 A 0" ]);
+  Namepath.Interned.freeze ();
+  Fun.protect ~finally:Namepath.Interned.thaw (fun () ->
+      expect "-2 condition want never matches" "0"
+        (d `Cons [ ("S 2 C 0", Some unseen_end) ] [ "S 0 A 0"; "S 1 B 0" ]);
+      expect "-2 deduction prefix never matches" "0" (d `Cons [] [ "S 0 A 0"; unseen_prefix ]);
+      expect "-2 correct word: any found word violates" "2"
+        (d (`Conf unseen_end) [] [ "S 0 A 0" ]))
+
+let relate_suite =
+  [
+    Alcotest.test_case "relate: corner cases" `Quick test_relate_corners;
+    QCheck_alcotest.to_alcotest prop_relate_is_check;
+  ]
+
+let suite = suite @ relate_suite
+
+(* ---------------- store index ---------------- *)
+
+module Corpus = Namer_corpus.Corpus
+module Frontend = Namer_core.Frontend
+module Miner = Namer_mining.Miner
+module Confusing_pairs = Namer_mining.Confusing_pairs
+
+let seed_digests =
+  lazy
+    (let cfg = { (Corpus.default_config Corpus.Python) with Corpus.n_repos = 10; seed = 77 } in
+     (Corpus.generate cfg).Corpus.files
+     |> List.concat_map (fun (f : Corpus.file) ->
+            match Frontend.parse_file_opt Corpus.Python ~use_analysis:true f.Corpus.source with
+            | None -> []
+            | Some parsed ->
+                List.map
+                  (fun (s : Frontend.stmt) ->
+                    let origins = parsed.Frontend.origins ~cls:s.Frontend.cls ~fn:s.Frontend.fn in
+                    Pattern.Stmt_paths.of_tree
+                      (Namer_namepath.Astplus.transform ~origins s.Frontend.tree))
+                  parsed.Frontend.stmts))
+
+(* Mined with no support or ratio floor, so the store is the whole
+   candidate set — the shape prune matches against, with buckets hundreds
+   of patterns deep. *)
+let seed_store =
+  lazy
+    (let digests = Lazy.force seed_digests in
+     let config =
+       {
+         Miner.default_config with
+         Miner.min_support = 1;
+         min_satisfaction_ratio = 0.0;
+         min_path_freq = 3;
+       }
+     in
+     let pairs = Confusing_pairs.create () in
+     List.iter (Confusing_pairs.add_pair pairs) (Namer_core.Namer.builtin_pairs Corpus.Python);
+     let store = Pattern.Store.create () in
+     List.iter
+       (fun kind ->
+         Pattern.Store.iter
+           (fun p -> ignore (Pattern.Store.add store { p with Pattern.id = -1 }))
+           (Miner.mine ~config ~kind ~pairs digests).Miner.store)
+       [
+         `Consistency;
+         `Confusing;
+         `Ordering Namer_core.Namer.default_config.Namer_core.Namer.ordering_vocab;
+       ];
+     store)
+
+let bucket_key (p : Pattern.t) = Namepath.Interned.prefix_id (List.hd p.Pattern.deduction)
+
+(* The list-returning lookup the store shipped before its index became
+   dense arrays: a table of newest-first id lists, deduplicated per call
+   through a fresh hashtable.  Kept as the order golden. *)
+let golden_candidates store =
+  let index = Hashtbl.create 1024 in
+  Pattern.Store.iter
+    (fun p ->
+      let k = bucket_key p in
+      match Hashtbl.find_opt index k with
+      | Some l -> l := p.Pattern.id :: !l
+      | None -> Hashtbl.replace index k (ref [ p.Pattern.id ]))
+    store;
+  fun s ->
+    let seen = Hashtbl.create 16 and acc = ref [] in
+    Array.iter
+      (fun pfx ->
+        match Hashtbl.find_opt index pfx with
+        | Some l ->
+            List.iter
+              (fun id ->
+                if not (Hashtbl.mem seen id) then begin
+                  Hashtbl.replace seen id ();
+                  acc := id :: !acc
+                end)
+              !l
+        | None -> ())
+      (Pattern.Stmt_paths.prefix_ids s);
+    List.rev !acc
+
+let visited store s =
+  let acc = ref [] in
+  Pattern.Store.iter_candidates (fun p -> acc := p.Pattern.id :: !acc) store s;
+  List.rev !acc
+
+(* A bucket, read through [iter_candidates]: a digest whose only prefix is
+   [k] visits exactly the patterns indexed under [k], newest first. *)
+let bucket store k =
+  let s =
+    { Pattern.Stmt_paths.ipaths = [||]; index_prefix = [| k |]; index_end = [| 0 |]; n_paths = 0 }
+  in
+  Array.of_list (List.rev (visited store s))
+
+let test_store_one_bucket () =
+  let store = Lazy.force seed_store in
+  check_bool "the store holds the candidate set" true (Pattern.Store.size store > 1000);
+  let keys = Hashtbl.create 256 in
+  Pattern.Store.iter (fun p -> Hashtbl.replace keys (bucket_key p) ()) store;
+  check_bool "every pattern sits in the bucket of its first deduction prefix" true
+    (Pattern.Store.fold
+       (fun ok p -> ok && Array.mem p.Pattern.id (bucket store (bucket_key p)))
+       store true);
+  let buckets = Hashtbl.fold (fun k () acc -> bucket store k :: acc) keys [] in
+  check_int "bucket sizes sum to the store size: no pattern in two buckets"
+    (Pattern.Store.size store)
+    (List.fold_left (fun n b -> n + Array.length b) 0 buckets);
+  check_bool "buckets hold ids oldest first" true
+    (List.for_all
+       (fun b ->
+         let n = Array.length b in
+         n <= 1 || Array.for_all2 ( < ) (Array.sub b 0 (n - 1)) (Array.sub b 1 (n - 1)))
+       buckets);
+  check_bool "some bucket is hundreds deep" true
+    (List.exists (fun b -> Array.length b > 200) buckets)
+
+let test_store_iter_order () =
+  let store = Lazy.force seed_store in
+  let golden = golden_candidates store in
+  let visits = ref 0 in
+  List.iter
+    (fun s ->
+      let ids = visited store s in
+      visits := !visits + List.length ids;
+      check_bool "no id visited twice" true
+        (List.length (List.sort_uniq compare ids) = List.length ids);
+      Alcotest.(check (list int)) "same sequence as the old candidate list" (golden s) ids;
+      Alcotest.(check (list int))
+        "candidates is iter_candidates collected" ids
+        (List.map (fun p -> p.Pattern.id) (Pattern.Store.candidates store s)))
+    (Lazy.force seed_digests);
+  check_bool "the corpus visits candidates" true (!visits > 1000)
+
+let store_index_suite =
+  [
+    Alcotest.test_case "store: one bucket per pattern" `Quick test_store_one_bucket;
+    Alcotest.test_case "store: iter_candidates order golden" `Quick test_store_iter_order;
+  ]
+
+let suite = suite @ store_index_suite
