@@ -198,11 +198,15 @@ let serve_bench (t : Namer.t) (corpus : Corpus.t) ~jobs =
    - trains a small in-memory model as the scan instrument;
    - scans the half corpus at jobs=1 and jobs=N: reports must be
      byte-identical, and the heap watermark after is the half-scan bound;
-   - scans the full corpus timed (files/sec, per-stage walls): because the
+   - scans the full corpus timed (files/sec), then again traced for the
+     per-stage walls: because the
      watermark is monotonic, the full/half watermark ratio is ~1 exactly
      when doubling the corpus did not grow peak memory — the streaming
      contract — and the in-flight source gauge must stay bounded by the
      worker count, never the corpus;
+   - records the interner's end count before the scans and after the full
+     one: a scan digests against the model's vocabulary and must leave it
+     unchanged;
    - trains with [build_refs] on the half corpus then the full corpus and
      applies the same doubling-ratio argument to training. *)
 let scale_bench ~jobs ~n_files () =
@@ -258,30 +262,38 @@ let scale_bench ~jobs ~n_files () =
       (Corpus.generate { (Corpus.default_config lang) with Corpus.n_repos = 10 })
   in
   let m = Namer.model_of t_instr in
+  let ends_before = Namer_namepath.Namepath.Interned.n_ends () in
   let seq = Namer.scan_refs ~jobs:1 m half in
   let par = Namer.scan_refs ~jobs m half in
   let scan_identical = seq.Namer.sr_reports = par.Namer.sr_reports in
   let scan_heap_half_mb = top_heap_mb () in
   Namer.reset_in_flight_peak ();
-  Telemetry.reset ();
-  Telemetry.set_sink Telemetry.Memory;
+  (* timed and heap-measured untraced, like the half scans: the memory
+     sink keeps every span (five per file), which would add O(files) to
+     the watermark that is meant to show the scan's own retention *)
   let tf0 = Unix.gettimeofday () in
   let full_res = Namer.scan_refs ~jobs m refs in
   let scan_full_s = Unix.gettimeofday () -. tf0 in
+  let scan_heap_full_mb = top_heap_mb () in
+  let ends_after = Namer_namepath.Namepath.Interned.n_ends () in
+  let in_flight_peak = Namer.in_flight_sources_peak () in
+  (* the per-stage walls come from a second, traced pass *)
+  Telemetry.reset ();
+  Telemetry.set_sink Telemetry.Memory;
+  ignore (Namer.scan_refs ~jobs m refs);
   let scan_stages = Telemetry.stages () in
   Telemetry.reset ();
-  let scan_heap_full_mb = top_heap_mb () in
-  let in_flight_peak = Namer.in_flight_sources_peak () in
   let scan_mem_ratio = scan_heap_full_mb /. Float.max 1.0 scan_heap_half_mb in
   let files_per_sec = float_of_int n_files /. Float.max 1e-9 scan_full_s in
   Printf.printf
     "scan: %d files in %.1fs (%.0f files/s, %d reports), half→full top heap %.0f → \
      %.0f MB (ratio %.2f), %d sources in flight at peak, jobs=1 vs jobs=%d reports \
-     %s\n"
+     %s, interner ends %d → %d\n"
     n_files scan_full_s files_per_sec
     (Array.length full_res.Namer.sr_reports)
     scan_heap_half_mb scan_heap_full_mb scan_mem_ratio in_flight_peak jobs
-    (if scan_identical then "identical" else "DIFFERENT");
+    (if scan_identical then "identical" else "DIFFERENT")
+    ends_before ends_after;
   (* train doubling: half then full, same watermark argument *)
   let train_cfg n =
     {
@@ -328,6 +340,8 @@ let scale_bench ~jobs ~n_files () =
         ("scan_heap_half_mb", J.Float scan_heap_half_mb);
         ("scan_heap_full_mb", J.Float scan_heap_full_mb);
         ("scan_mem_ratio", J.Float scan_mem_ratio);
+        ("scan_interner_ends_before", J.Int ends_before);
+        ("scan_interner_ends_after", J.Int ends_after);
         ("train_half_s", J.Float train_half_s);
         ("train_full_s", J.Float train_full_s);
         ("train_heap_half_mb", J.Float train_heap_half_mb);
@@ -476,6 +490,34 @@ let merge_bench ~jobs ~n_files () =
   in
   (json, ok)
 
+(* The machine a baseline was measured on: CPU model (from /proc/cpuinfo
+   where there is one), word size and OCaml version — the core count is
+   the top-level [cores]. *)
+let machine_json () =
+  let module J = Namer_util.Json in
+  let cpu =
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> "unknown"
+    | ic ->
+        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
+        let rec go () =
+          match input_line ic with
+          | exception End_of_file -> "unknown"
+          | l -> (
+              match String.index_opt l ':' with
+              | Some i when String.trim (String.sub l 0 i) = "model name" ->
+                  String.trim (String.sub l (i + 1) (String.length l - i - 1))
+              | _ -> go ())
+        in
+        go ()
+  in
+  J.Obj
+    [
+      ("cpu", J.String cpu);
+      ("word_size", J.Int Sys.word_size);
+      ("ocaml", J.String Sys.ocaml_version);
+    ]
+
 let telemetry_bench ~jobs_parallel ~scale:(scale_json, scale_ok)
     ~merge:(merge_json, merge_ok) () =
   print_endline "### Pipeline telemetry (15-repo Python corpus) ###\n";
@@ -560,6 +602,7 @@ let telemetry_bench ~jobs_parallel ~scale:(scale_json, scale_ok)
           [
             ("schema", J.Int 7);
             ("cores", J.Int (Domain.recommended_domain_count ()));
+            ("machine", machine_json ());
             ("cap_domains", J.Bool Namer.default_config.Namer.cap_domains);
             ("jobs_parallel", J.Int jobs_parallel);
             ("jobs_parallel_effective", J.Int effective_jobs);

@@ -218,7 +218,9 @@ let skip_file ~path reason =
     Events.Warn "scan.file_skipped";
   ([], Some { sk_file = path; sk_reason = reason })
 
-let digest_source ?table ~cfg ~lang ~repo ~path source :
+(* Parse, analyze and transform one source, digesting each statement's
+   AST+ with [digest] — interning for training, lookup-only for a scan. *)
+let digest_source ~digest ~cfg ~lang ~repo ~path source :
     scanned_stmt list * skipped option =
   let skip reason = skip_file ~path reason in
   match Frontend.parse_file_res lang ~use_analysis:cfg.use_analysis source with
@@ -241,10 +243,7 @@ let digest_source ?table ~cfg ~lang ~repo ~path source :
         Telemetry.with_span "namepaths" @@ fun () ->
         List.map
           (fun ((s : Frontend.stmt), ast_plus) ->
-            let digest =
-              Pattern.Stmt_paths.of_tree ?table ~limit:cfg.miner.Miner.max_stmt_paths
-                ast_plus
-            in
+            let digest = digest ast_plus in
             {
               sctx =
                 {
@@ -276,8 +275,9 @@ let digest_file ?table ~cfg ~lang ~(file : file_ref) () :
   | source ->
       gauge_enter ();
       Fun.protect ~finally:gauge_exit (fun () ->
-          digest_source ?table ~cfg ~lang ~repo:file.fr_repo ~path:file.fr_path
-            source)
+          digest_source
+            ~digest:(Pattern.Stmt_paths.of_tree ?table ~limit:cfg.miner.Miner.max_stmt_paths)
+            ~cfg ~lang ~repo:file.fr_repo ~path:file.fr_path source)
 
 (* ------------------------------------------------------------------ *)
 (* Building the system                                                 *)
@@ -1397,10 +1397,14 @@ let match_stmts (m : model) stmts : Scan_cache.entry list =
 (** [scan_refs m refs] reports the violations of [refs] against a trained
     model: digest (parse → analyze → AST+ → name paths) only, no mining, no
     training — the paper's "w/o C" reporting shape, like the CLI's
-    self-mining scan.  Files stream through in bounded batches
-    ([digest_batch]): a file's source is loaded on a worker domain, cache-
-    probed, digested and dropped before the report set is assembled, so
-    peak residency is O(batch × jobs) sources, never the corpus.  With
+    self-mining scan.  Each file is scanned in one pass on whichever domain
+    runs its shard: loaded, cache-probed, digested against the model's
+    vocabulary by lookup only, matched and rendered to its report rows; the
+    source is dropped before the rows are returned.  Files stream through
+    in bounded batches ([digest_batch]), each split into contiguous shards,
+    so peak residency is O(batch × jobs) sources, never the corpus.  Ends
+    the model has never seen get ids in a per-shard overlay that is dropped
+    with the shard: a scan never writes the global interner.  With
     [cache_dir], per-file reports are persisted keyed by (model hash,
     content digest): files whose entry is present skip digesting entirely
     and replay byte-identically, at any [jobs].  Reports are sorted on
@@ -1426,7 +1430,10 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
   (* worker side: load one file, probe the cache on its content digest,
      digest on a miss — the source lives only inside this call (cache reads
      are lock-free: entries are content-addressed and written atomically) *)
-  let process ?table (r : file_ref) =
+  let process overlay (r : file_ref) =
+    let digest =
+      Pattern.Stmt_paths.of_scan_tree overlay ~limit:cfg.miner.Miner.max_stmt_paths
+    in
     match r.fr_load () with
     | exception Out_of_memory -> raise Out_of_memory
     | exception e ->
@@ -1435,79 +1442,37 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
     | source -> (
         gauge_enter ();
         Fun.protect ~finally:gauge_exit @@ fun () ->
+        let miss d =
+          let stmts, skip =
+            digest_source ~digest ~cfg ~lang ~repo:r.fr_repo ~path:r.fr_path source
+          in
+          (r.fr_path, d, `Miss (stmts, skip))
+        in
         match cache_dir with
-        | None ->
-            let stmts, skip =
-              digest_source ?table ~cfg ~lang ~repo:r.fr_repo ~path:r.fr_path source
-            in
-            (r.fr_path, "", `Miss (stmts, skip))
+        | None -> miss ""
         | Some dir -> (
             let d = Scan_cache.src_digest source in
             match Scan_cache.find ~dir ~model_hash:m.m_hash ~src_digest:d with
             | Some entries -> (r.fr_path, d, `Hit entries)
-            | None ->
-                let stmts, skip =
-                  digest_source ?table ~cfg ~lang ~repo:r.fr_repo ~path:r.fr_path
-                    source
-                in
-                (r.fr_path, d, `Miss (stmts, skip))))
+            | None -> miss d))
   in
   let match_row (path, d, outcome) =
     match outcome with
     | `Hit entries -> (path, d, entries, None, true)
-    | `Miss (stmts, skip) -> (path, d, match_stmts m stmts, skip, false)
+    | `Miss (stmts, skip) ->
+        (path, d, Telemetry.with_span "scan" (fun () -> match_stmts m stmts), skip, false)
+  in
+  (* one overlay per shard, dropped when the shard ends: the unseen ends it
+     holds are bounded by the shard's files *)
+  let scan_shard rs =
+    let overlay = Namepath.Interned.overlay () in
+    List.map (fun r -> match_row (process overlay r)) rs
   in
   let n_hits = ref 0 and n_misses = ref 0 in
   let rows_rev = ref [] in
   List.iter
     (fun batch ->
-      let matched =
-        match pool with
-        | None ->
-            (* sequential: the digest interns straight into the global id
-               space, so each file is matched as soon as it is digested and
-               only one file's statements are live at a time *)
-            List.map
-              (fun r ->
-                let row = process r in
-                Telemetry.with_span "scan" @@ fun () -> match_row row)
-              batch
-        | Some _ ->
-            (* two-phase, mirroring [build_core]: sharded digest into local
-               tables, remap into the global id space in shard order, then
-               match sharded — the store and interner are read-only by then *)
-            let parts =
-              Accumulator.sharded_map ?pool ~shards
-                ~key:(fun r -> r.fr_repo)
-                (fun rs ->
-                  let table = Namepath.Interned.create_table () in
-                  (table, List.map (process ~table) rs))
-                batch
-            in
-            let digested =
-              Telemetry.with_span "digest:remap" @@ fun () ->
-              List.concat_map
-                (fun (table, outs) ->
-                  let mp = Namepath.Interned.remap_into_global table in
-                  List.map
-                    (fun (path, d, outcome) ->
-                      match outcome with
-                      | `Hit _ as hit -> (path, d, hit)
-                      | `Miss (stmts, skip) ->
-                          ( path, d,
-                            `Miss
-                              ( List.map
-                                  (fun s ->
-                                    { s with
-                                      digest = Pattern.Stmt_paths.remap mp s.digest
-                                    })
-                                  stmts, skip ) ))
-                    outs)
-                parts
-            in
-            Telemetry.with_span "scan" @@ fun () ->
-            Accumulator.sharded_concat_map ?pool ~shards (List.map match_row) digested
-      in
+      let matched = Accumulator.sharded_concat_map ?pool ~shards scan_shard batch in
       List.iter
         (fun ((_, d, entries, skip, was_hit) as row) ->
           (match cache_dir with

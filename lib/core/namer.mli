@@ -310,19 +310,21 @@ type scan_result = {
     [pool] runs the sharded digest/match phases on a caller-owned domain
     pool instead of creating one per call — the serve daemon loads a model
     once and multiplexes every request's scan onto one resident pool.
-    When [pool] is given, [jobs] and [cap_domains] are ignored.  Note that
-    digesting misses grows the global name-path interner; concurrent
-    callers must serialize scans of uncached files (the interner is
-    single-writer — see DESIGN.md §11). *)
+    When [pool] is given, [jobs] and [cap_domains] are ignored.  A scan
+    only reads the global name-path interner — ends the model has never
+    seen live in a per-shard overlay dropped with the shard — so it must
+    not overlap {!load_model}, which writes it (DESIGN.md §7, §11). *)
 val scan_with_model :
   ?jobs:int -> ?cap_domains:bool -> ?pool:Namer_parallel.Pool.t ->
   ?cache_dir:string -> model -> Corpus.file list ->
   scan_result
 
 (** [scan_refs m refs] — the streaming form of {!scan_with_model}: sources
-    are loaded on worker domains batch-by-batch ([digest_batch]), cache-
-    probed, digested and dropped, so scanning a corpus never holds more
-    than O(batch × jobs) sources.  Same determinism and cache contract. *)
+    are loaded on worker domains batch-by-batch ([digest_batch]), and each
+    file is cache-probed, digested, matched and dropped in one pass, so
+    scanning a corpus never holds more than O(batch × jobs) sources.
+    Reports are identical for every [jobs].  Same determinism and cache
+    contract. *)
 val scan_refs :
   ?jobs:int -> ?cap_domains:bool -> ?pool:Namer_parallel.Pool.t ->
   ?cache_dir:string -> model -> file_ref list ->

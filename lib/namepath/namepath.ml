@@ -120,7 +120,9 @@ module Interner = Namer_util.Interner
     Multicore contract: the implicit {!global} table is populated
     sequentially (or by {!remap}-merging shard-local tables in shard
     order), then {!freeze}-frozen before worker domains fan out; frozen
-    tables are read-only and safe to share.  Strings survive only at the
+    tables are read-only and safe to share.  A scan against a model only
+    reads the table ({!scan_tree}); names the model never saw go to a
+    per-shard {!overlay}, so concurrent scan shards share it unlocked.  Strings survive only at the
     serialization boundary ({!Namepath.of_string}/{!to_string},
     pattern persistence, report rendering). *)
 module Interned = struct
@@ -205,14 +207,13 @@ module Interned = struct
 
   let of_paths ?table nps = List.map (fun np -> of_path ?table np) nps
 
-  (** Fused extract-and-intern: the concrete name paths of AST+ [tree] in
-      leaf order, already interned — semantically
-      [of_paths ?table (extract ?limit tree)], with identical dedup,
-      traversal-limit and intern-call order (so id assignment is
-      bit-identical), but each prefix's canonical text is rendered once,
-      incrementally, in a single reused buffer instead of twice via
-      [Printf.sprintf] per step.  This is the digest hot path. *)
-  let extract_tree ?(table = global) ?(limit = 10) (tree : Tree.t) : t list =
+  (* The extraction traversal shared by the interning and the scan
+     vocabularies: the concrete name paths of AST+ [tree] in leaf order,
+     first path per distinct prefix, at most [limit] — {!extract}'s dedup
+     and limit — with each prefix's canonical text rendered once,
+     incrementally, in a single reused buffer.  [emit np prefix_text e]
+     turns one kept path into its interned form. *)
+  let walk_leaves ~limit ~emit (tree : Tree.t) : t list =
     let out = ref [] and count = ref 0 in
     let seen_prefix = Hashtbl.create 16 in
     let pbuf = Buffer.create 128 in
@@ -222,19 +223,9 @@ module Interned = struct
           let prefix_text = Buffer.contents pbuf in
           if not (Hashtbl.mem seen_prefix prefix_text) then begin
             Hashtbl.replace seen_prefix prefix_text ();
-            let np =
-              { prefix = List.rev rev_prefix; end_node = Some node.Tree.value }
-            in
-            (* same intern order as {!of_path}: prefix, whole path, end,
-               symbolic path *)
-            let prefix = Interner.intern table.prefixes prefix_text in
             let e = node.Tree.value in
-            let pid = intern_path table np (prefix_text ^ " " ^ e) in
-            let end_ = intern_end table e in
-            let sym =
-              intern_path table { np with end_node = None } (prefix_text ^ " ϵ")
-            in
-            out := { np; pid; prefix; end_; sym } :: !out;
+            let np = { prefix = List.rev rev_prefix; end_node = Some e } in
+            out := emit np prefix_text e :: !out;
             incr count
           end
         end
@@ -252,6 +243,87 @@ module Interned = struct
     in
     go [] tree;
     List.rev !out
+
+  (** Fused extract-and-intern: the concrete name paths of AST+ [tree] in
+      leaf order, already interned — semantically
+      [of_paths ?table (extract ?limit tree)], with identical dedup,
+      traversal-limit and intern-call order (so id assignment is
+      bit-identical), but each prefix's canonical text is rendered once,
+      incrementally, instead of twice via [Printf.sprintf] per step.  This
+      is the training digest hot path. *)
+  let extract_tree ?(table = global) ?(limit = 10) (tree : Tree.t) : t list =
+    walk_leaves ~limit tree ~emit:(fun np prefix_text e ->
+        (* same intern order as {!of_path}: prefix, whole path, end,
+           symbolic path *)
+        let prefix = Interner.intern table.prefixes prefix_text in
+        let pid = intern_path table np (prefix_text ^ " " ^ e) in
+        let end_ = intern_end table e in
+        let sym = intern_path table { np with end_node = None } (prefix_text ^ " ϵ") in
+        { np; pid; prefix; end_; sym })
+
+  (* ---------------- the scan vocabulary ---------------- *)
+
+  (** A scan's private end vocabulary.  A scan digests against the model's
+      vocabulary — the global table — by lookup only; an end the model has
+      never seen gets an id here instead, from [base] (the global end count
+      when the overlay was made) upwards, so overlay ids never collide with
+      model ids.  [lower] is the lowercase-fold map of the overlay's own
+      ends; a fold lands on the model's id when the model has that form. *)
+  type overlay = {
+    base : int;
+    names : Interner.t;  (** overlay end [base + i] is [names]'s id [i] *)
+    mutable lower : int array;  (** overlay-local id → end id of the fold *)
+  }
+
+  (* The empty overlay every globally interned digest carries: every id is
+     below [max_int], so every lookup goes to the global table; its
+     interner is frozen, so it can never be written. *)
+  let no_overlay =
+    let names = Interner.create ~size:1 () in
+    Interner.freeze names;
+    { base = max_int; names; lower = [||] }
+
+  (** A fresh, empty overlay over the current global vocabulary.  Valid
+      while the global end table does not grow — a scan never writes it. *)
+  let overlay () =
+    { base = Interner.size global.ends; names = Interner.create ~size:64 ();
+      lower = Array.make 16 (-1) }
+
+  (* The end id of [e] in the scan vocabulary: the model's id when it has
+     [e], an overlay id otherwise — interning into the overlay through the
+     same lowercase recursion as {!intern_end}. *)
+  let rec scan_end ov e =
+    match Interner.lookup global.ends e with
+    | Some id -> id
+    | None -> (
+        match Interner.lookup ov.names e with
+        | Some i -> ov.base + i
+        | None ->
+            let i = Interner.intern ov.names e in
+            ov.lower <- grow_to ov.lower (i + 1) (-1);
+            let low = String.lowercase_ascii e in
+            let lid = if String.equal low e then ov.base + i else scan_end ov low in
+            ov.lower.(i) <- lid;
+            ov.base + i)
+
+  (** Lookup-only extraction against the model's vocabulary: the paths of
+      {!extract_tree}, but nothing is written to the global table.  A
+      prefix the model lacks is the never-matching [-2] (no pattern can
+      constrain it); an unseen end gets an [ov] id.  [pid] and [sym] are
+      [-2]: matching never reads them. *)
+  let scan_tree ov ?(limit = 10) (tree : Tree.t) : t list =
+    walk_leaves ~limit tree ~emit:(fun np prefix_text e ->
+        let prefix =
+          match Interner.lookup global.prefixes prefix_text with Some p -> p | None -> -2
+        in
+        { np; pid = -2; prefix; end_ = scan_end ov e; sym = -2 })
+
+  (** The subtoken behind an end id of a digest carrying [ov]. *)
+  let end_name_in ov e =
+    if e < ov.base then Interner.name global.ends e else Interner.name ov.names (e - ov.base)
+
+  (** Lowercase-folded end id in the vocabulary of a digest carrying [ov]. *)
+  let lower_end_in ov e = if e < ov.base then global.lower.(e) else ov.lower.(e - ov.base)
 
   (* lookup-or-intern against the global table: when the table is frozen,
      unknown strings map to the never-matching sentinel [-2] instead of
@@ -284,7 +356,6 @@ module Interned = struct
   let end_name e = Interner.name global.ends e
   let prefix_name p = Interner.name global.prefixes p
   let n_ends () = Interner.size global.ends
-  let lookup_prefix s = Interner.lookup global.prefixes s
   let lookup_end s = Interner.lookup global.ends s
 
   (** Lowercase-folded end id ([lower_end e = lower_end (lower_end e)]). *)

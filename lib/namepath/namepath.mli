@@ -59,8 +59,11 @@ val of_string : string -> t
     {!Interned.remap_into_global}-merge them in shard order, which
     reproduces the sequential id assignment exactly — then
     {!Interned.freeze} before domains fan out; a frozen table is read-only
-    and safe to share.  Strings survive only at the serialization boundary
-    ({!of_string}/{!to_string}, pattern persistence, report rendering). *)
+    and safe to share.  A scan only looks the global table up
+    ({!Interned.scan_tree}) and gives names the model never saw ids in a
+    per-shard {!Interned.overlay}, so scans never write it.  Strings
+    survive only at the serialization boundary ({!of_string}/{!to_string},
+    pattern persistence, report rendering). *)
 module Interned : sig
   type path := t
 
@@ -91,6 +94,32 @@ module Interned : sig
       digest hot path. *)
   val extract_tree : ?table:table -> ?limit:int -> Namer_tree.Tree.t -> t list
 
+  (** A scan's private end vocabulary: ids for ends the model has never
+      seen, numbered past the global range, with their own lowercase-fold
+      map.  Made per scan shard and dropped with it, so scans never grow
+      the global table. *)
+  type overlay
+
+  (** The shared empty overlay that globally interned digests carry. *)
+  val no_overlay : overlay
+
+  (** A fresh overlay over the current global vocabulary (valid while the
+      global end table does not grow). *)
+  val overlay : unit -> overlay
+
+  (** Lookup-only extraction against the global (model) vocabulary: the
+      paths of {!extract_tree}, nothing interned.  An unknown prefix is the
+      never-matching [-2]; an unknown end gets an id in the overlay; [pid]
+      and [sym] are [-2] (matching never reads them). *)
+  val scan_tree : overlay -> ?limit:int -> Namer_tree.Tree.t -> t list
+
+  (** {!end_name} and {!lower_end} for a digest carrying the overlay: ids
+      below its range resolve in the global table, the rest in the
+      overlay. *)
+  val end_name_in : overlay -> int -> string
+
+  val lower_end_in : overlay -> int -> int
+
   (** Global-table ids for pattern compilation: intern when unfrozen; when
       frozen, unknown strings map to the never-matching sentinel [-2]. *)
   val prefix_id : path -> int
@@ -102,7 +131,6 @@ module Interned : sig
   val end_name : int -> string
 
   val prefix_name : int -> string
-  val lookup_prefix : string -> int option
   val lookup_end : string -> int option
   val n_ends : unit -> int
 

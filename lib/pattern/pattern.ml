@@ -153,16 +153,21 @@ module Stmt_paths = struct
     index_prefix : int array;  (** distinct concrete-path prefix ids, leaf order *)
     index_end : int array;  (** end id of the first path at that prefix *)
     n_paths : int;
+    overlay : I.overlay;
+        (** the scan overlay the end ids were drawn from; {!I.no_overlay}
+            for globally interned digests *)
   }
 
-  let of_interned (paths : I.t list) =
+  (* Paths whose prefix is the never-matching [-2] stay out of the index:
+     no pattern constrains a prefix the model lacks. *)
+  let of_interned ?(overlay = I.no_overlay) (paths : I.t list) =
     let ipaths = Array.of_list paths in
     let n = Array.length ipaths in
     let ip = Array.make n 0 and ie = Array.make n 0 in
     let k = ref 0 in
     Array.iter
       (fun (it : I.t) ->
-        if it.I.end_ >= 0 then begin
+        if it.I.end_ >= 0 && it.I.prefix >= 0 then begin
           let dup = ref false in
           for j = 0 to !k - 1 do
             if ip.(j) = it.I.prefix then dup := true
@@ -174,13 +179,20 @@ module Stmt_paths = struct
           end
         end)
       ipaths;
-    { ipaths; index_prefix = Array.sub ip 0 !k; index_end = Array.sub ie 0 !k; n_paths = n }
+    { ipaths; index_prefix = Array.sub ip 0 !k; index_end = Array.sub ie 0 !k; n_paths = n;
+      overlay }
 
   let of_paths ?table (paths : Namepath.t list) = of_interned (I.of_paths ?table paths)
 
-  (* the digest hot path: extract + intern fused into one traversal *)
+  (* the training digest hot path: extract + intern fused into one
+     traversal *)
   let of_tree ?table ?limit tree =
     of_interned (Namepath.extract_interned ?table ?limit tree)
+
+  (* the scan digest: lookup-only against the model's vocabulary, unseen
+     ends in [overlay] *)
+  let of_scan_tree overlay ?limit tree =
+    of_interned ~overlay (I.scan_tree overlay ?limit tree)
   let paths t = Array.to_list (Array.map (fun (it : I.t) -> it.I.np) t.ipaths)
 
   (* A top-level loop over the two index arrays: no closure, no
@@ -197,18 +209,6 @@ module Stmt_paths = struct
       shared, not rebuilt per call. *)
   let prefix_ids t = t.index_prefix
 
-  (* String views for the serialization boundary; only meaningful for
-     digests interned against the global table. *)
-  let end_at t ~prefix_key =
-    match I.lookup_prefix prefix_key with
-    | None -> None
-    | Some p ->
-        let e = end_id t ~prefix:p in
-        if e < 0 then None else Some (I.end_name e)
-
-  let prefix_keys t =
-    Array.to_list (Array.map I.prefix_name t.index_prefix)
-
   (** Translate a digest built on a shard-local table into global ids. *)
   let remap (m : I.remap) t =
     {
@@ -216,6 +216,7 @@ module Stmt_paths = struct
       index_prefix = Array.map (fun p -> m.I.prefix_map.(p)) t.index_prefix;
       index_end = Array.map (fun e -> m.I.end_map.(e)) t.index_end;
       n_paths = t.n_paths;
+      overlay = t.overlay;
     }
 end
 
@@ -259,7 +260,8 @@ let relate (p : t) (s : Stmt_paths.t) : int =
         if e1 < 0 || e2 < 0 then 0
           (* Case-insensitive: [stringWriter] is consistent with its
              [StringWriter] type; [camelCase] with [snake_case] renderings. *)
-        else if I.lower_end e1 = I.lower_end e2 then 1
+        else if I.lower_end_in s.Stmt_paths.overlay e1 = I.lower_end_in s.Stmt_paths.overlay e2
+        then 1
         else 2
     | C_confusing correct ->
         let e = Stmt_paths.end_id s ~prefix:c.c_ded.(0) in
@@ -281,17 +283,18 @@ let relate (p : t) (s : Stmt_paths.t) : int =
    form — called only once {!relate} has said "violated". *)
 let violation_info (p : t) (s : Stmt_paths.t) =
   let c = ensure_compiled p in
+  let end_name prefix = I.end_name_in s.Stmt_paths.overlay (Stmt_paths.end_id s ~prefix) in
   match p.kind with
   | Consistency ->
       {
         offending_prefix = I.prefix_name c.c_ded.(1);
-        found = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(1));
-        suggested = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(0));
+        found = end_name c.c_ded.(1);
+        suggested = end_name c.c_ded.(0);
       }
   | Confusing_word { correct } ->
       {
         offending_prefix = I.prefix_name c.c_ded.(0);
-        found = I.end_name (Stmt_paths.end_id s ~prefix:c.c_ded.(0));
+        found = end_name c.c_ded.(0);
         suggested = correct;
       }
   | Ordering { first; second } ->
@@ -321,7 +324,7 @@ module Store = struct
       first deduction prefix is [k], oldest first, in its first
       [bucket_len.(k)] slots.  Each pattern therefore sits in exactly one
       bucket — or in none, when it has no deduction or its prefix is the
-      never-matching [-2] sentinel (no digest carries a negative prefix). *)
+      never-matching [-2] sentinel. *)
   type nonrec t = {
     mutable patterns : t array;
     mutable n : int;
@@ -406,7 +409,8 @@ module Store = struct
     let pfx = s.Stmt_paths.index_prefix in
     for i = 0 to Array.length pfx - 1 do
       let k = pfx.(i) in
-      if k < Array.length t.bucket_len then begin
+      (* a negative prefix (the never-matching [-2]) has no bucket *)
+      if k >= 0 && k < Array.length t.bucket_len then begin
         let b = t.buckets.(k) in
         for j = t.bucket_len.(k) - 1 downto 0 do
           f t.patterns.(b.(j))

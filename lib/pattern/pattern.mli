@@ -49,6 +49,10 @@ module Stmt_paths : sig
         (** distinct concrete-path prefix ids, leaf order *)
     index_end : int array;  (** end id of the first path at that prefix *)
     n_paths : int;
+    overlay : Namepath.Interned.overlay;
+        (** where end ids past the global range resolve: the scan overlay
+            the digest was built with, {!Namepath.Interned.no_overlay} for
+            globally interned digests *)
   }
 
   (** Digest a path list; [table] (default the global table) lets worker
@@ -57,10 +61,19 @@ module Stmt_paths : sig
 
   (** Assemble a digest from already-interned paths — the partial-model
       replay path, where the vocabulary was interned once up front.
-      [of_paths ps = of_interned (Interned.of_paths ps)]. *)
-  val of_interned : Namepath.Interned.t list -> t
+      [of_paths ps = of_interned (Interned.of_paths ps)].  Paths with a
+      negative prefix id stay out of the prefix index. *)
+  val of_interned : ?overlay:Namepath.Interned.overlay -> Namepath.Interned.t list -> t
 
+  (** Extract, intern (into [table], default the global table) and digest
+      — the training path. *)
   val of_tree : ?table:Namepath.Interned.table -> ?limit:int -> Namer_tree.Tree.t -> t
+
+  (** Extract and digest against the model's vocabulary by lookup only
+      ({!Namepath.Interned.scan_tree}): the scan path, which never writes
+      the global table. *)
+  val of_scan_tree : Namepath.Interned.overlay -> ?limit:int -> Namer_tree.Tree.t -> t
+
   val paths : t -> Namepath.t list
 
   (** End id at a prefix id, [-1] when absent — the hot-path lookup. *)
@@ -68,11 +81,6 @@ module Stmt_paths : sig
 
   (** The digest's own prefix-id index (shared array — do not mutate). *)
   val prefix_ids : t -> int array
-
-  (** String views, valid for digests interned against the global table. *)
-  val end_at : t -> prefix_key:string -> string option
-
-  val prefix_keys : t -> string list
 
   (** Translate a shard-local digest into global ids. *)
   val remap : Namepath.Interned.remap -> t -> t
@@ -120,7 +128,8 @@ module Store : sig
 
   (** [iter_candidates f t s] applies [f] to every pattern whose first
       deduction prefix occurs in [s] — the candidate set for {!check} —
-      allocating nothing.  Order: [s]'s prefixes in leaf order, newest
+      allocating nothing; a negative prefix id has no candidates.  Order:
+      [s]'s prefixes in leaf order, newest
       pattern first within each prefix's bucket; no pattern twice.
       Training's violation order and the scan's first-wins-ties report
       dedup depend on this order. *)

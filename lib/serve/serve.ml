@@ -7,6 +7,7 @@ module Pool = Namer_parallel.Pool
 module Corpus = Namer_corpus.Corpus
 module Namer = Namer_core.Namer
 module Pattern = Namer_pattern.Pattern
+module Interned = Namer_namepath.Namepath.Interned
 
 type endpoint = Unix_path of string | Tcp of string * int
 
@@ -48,6 +49,7 @@ type stats = {
   st_p99_ms : float;
   st_uptime_s : float;
   st_model_hash : string;
+  st_interner_ends : int;
 }
 
 let stats_json (s : stats) =
@@ -68,6 +70,7 @@ let stats_json (s : stats) =
     ("request_p99_ms", J.Float s.st_p99_ms);
     ("uptime_s", J.Float s.st_uptime_s);
     ("model_hash", J.String s.st_model_hash);
+    ("interner_ends", J.Int s.st_interner_ends);
   ]
   |> fun fields -> J.Obj fields
 
@@ -413,6 +416,8 @@ let handle_status t =
       ("model_path", J.String (locked t (fun () -> t.model_path)));
       ("lang", J.String (Corpus.lang_name m.Namer.m_lang));
       ("patterns", J.Int (Pattern.Store.size m.Namer.m_store));
+      (* scans never grow the interner; only model loads do *)
+      ("interner_ends", J.Int (Interned.n_ends ()));
       ("uptime_s", J.Float (Unix.gettimeofday () -. t.t_start));
       ("requests", J.Int (c (fun t -> t.c_requests)));
       ("scans", J.Int (c (fun t -> t.c_scans)));
@@ -710,6 +715,7 @@ let stats_of t =
         st_p99_ms = p99;
         st_uptime_s = Unix.gettimeofday () -. t.t_start;
         st_model_hash = t.model.Namer.m_hash;
+        st_interner_ends = Interned.n_ends ();
       })
 
 let endpoint_string = function

@@ -23,7 +23,8 @@
     - optional [{"max_reports":N}] on any scan caps the rendered report
       list (the [violations] count stays exact);
     - [{"op":"status"}] — model identity, counters, pool and latency
-      snapshot;
+      snapshot, and [interner_ends], the global name-path interner's end
+      count (flat across scans: it moves only with model loads);
     - [{"op":"reload"}] or [{"op":"reload","model":PATH}] — hot-swap the
       model (see below);
     - [{"op":"shutdown"}] — acknowledge, then drain and exit.
@@ -41,11 +42,13 @@
 
     Each connection is handled by its own thread; scans fan their sharded
     digest/match phases onto one resident {!Namer_parallel.Pool} shared by
-    every request ([sv_jobs > 1]).  The global name-path interner is
-    single-writer (DESIGN.md §7), so the compute section of scans that
-    digest uncached files — and model loads, which preload the interner —
-    are serialized on one model lock; cache-hit replay, request parsing
-    and response IO run fully concurrently.  The content-addressed scan
+    every request ([sv_jobs > 1]).  A scan only reads the global
+    name-path interner (unseen names live in per-shard overlays), but a
+    model load preloads it, so every scan — cache hits included — runs
+    under one model lock that [reload] also takes; scans therefore run
+    one at a time, each fanned out over the pool.  Admission, request
+    parsing, file loading for [dir]/[files] requests and response IO run
+    concurrently.  The content-addressed scan
     cache ([sv_cache_dir]) is shared across requests and with concurrent
     CLI scans (atomic temp+rename publication, DESIGN.md §8).
 
@@ -111,6 +114,9 @@ type stats = {
   st_p99_ms : float;
   st_uptime_s : float;
   st_model_hash : string;  (** hash serving at shutdown *)
+  st_interner_ends : int;
+      (** name-path interner ends at shutdown: grows with model loads
+          only, never with scans *)
 }
 
 val stats_json : stats -> Namer_util.Json.t

@@ -29,7 +29,10 @@
    bounded: the scan retains only reports so it must stay flat
    (<= 1.35x); training retains every file's digest for mining, so its
    heap may grow at most linearly (<= 2.3x) — anything above that means
-   the frontend is retaining sources, not just digests.  The multicore
+   the frontend is retaining sources, not just digests.  The scans must
+   also leave the name-path interner's end count where the model left it
+   (scans digest by lookup against the model's vocabulary), and their
+   files/sec is printed against the baseline's.  The multicore
    scaling gate also tightens from 2x to 2.5x on schema-6 runs.
 
    Schema-7 runs additionally gate incremental training: the model
@@ -252,11 +255,31 @@ let () =
            determinism"
           fresh_path);
     (match (number (assoc "files_per_sec" scale), number (assoc "files" scale)) with
-    | Some fps, Some files when fps > 0.0 ->
-        Printf.printf "scale: %d files scanned at %.0f files/s\n" (int_of_float files)
-          fps
+    | Some fps, Some files when fps > 0.0 -> (
+        match Option.bind (assoc "scale" baseline) (fun b -> number (assoc "files_per_sec" b)) with
+        | Some base ->
+            Printf.printf "scale: %d files scanned at %.0f files/s vs baseline %.0f (%+.0f%%)\n"
+              (int_of_float files) fps base
+              (100.0 *. ((fps /. Float.max 1e-9 base) -. 1.0))
+        | None ->
+            Printf.printf "scale: %d files scanned at %.0f files/s (no baseline)\n"
+              (int_of_float files) fps)
     | Some fps, _ -> fail "%s: scale files_per_sec %.2f not positive" fresh_path fps
     | _ -> fail "%s: scale object lacks files_per_sec/files" fresh_path);
+    (* a scan digests against the model's vocabulary by lookup: the
+       interner must hold as many ends after the scans as before them *)
+    (match
+       ( number (assoc "scan_interner_ends_before" scale),
+         number (assoc "scan_interner_ends_after" scale) )
+     with
+    | Some before, Some after when after > before ->
+        fail
+          "%s: the scale scans grew the name-path interner from %.0f to %.0f ends — a \
+           scan must not intern what it reads"
+          fresh_path before after
+    | Some before, Some _ ->
+        Printf.printf "scale: interner ends flat across the scans (%.0f)\n" before
+    | _ -> fail "%s: scale object lacks scan_interner_ends_before/after" fresh_path);
     (* the streaming contract: doubling the corpus must not grow the peak
        heap — the top-heap watermark after the full pass stays within a
        noise margin of the half-pass watermark.  Training retains the

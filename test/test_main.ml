@@ -24,6 +24,7 @@ let () =
       ("userstudy", Test_userstudy.suite);
       ("core", Test_core.suite);
       ("streaming", Test_streaming.suite);
+      ("scan", Test_scan.suite);
       ("model", Test_model.suite);
       ("partial_model", Test_partial_model.suite);
       ("fixer", Test_fixer.suite);

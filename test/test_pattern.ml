@@ -604,11 +604,11 @@ let visited store s =
 
 (* A bucket, read through [iter_candidates]: a digest whose only prefix is
    [k] visits exactly the patterns indexed under [k], newest first. *)
-let bucket store k =
-  let s =
-    { Pattern.Stmt_paths.ipaths = [||]; index_prefix = [| k |]; index_end = [| 0 |]; n_paths = 0 }
-  in
-  Array.of_list (List.rev (visited store s))
+let digest_at k =
+  { Pattern.Stmt_paths.ipaths = [||]; index_prefix = [| k |]; index_end = [| 0 |];
+    n_paths = 0; overlay = Namepath.Interned.no_overlay }
+
+let bucket store k = Array.of_list (List.rev (visited store (digest_at k)))
 
 let test_store_one_bucket () =
   let store = Lazy.force seed_store in
@@ -649,10 +649,20 @@ let test_store_iter_order () =
     (Lazy.force seed_digests);
   check_bool "the corpus visits candidates" true (!visits > 1000)
 
+(* The scan vocabulary's unknown prefix, [-2], has no bucket: a digest
+   carrying it is visited without error and yields nothing. *)
+let test_store_negative_prefix () =
+  let store = Lazy.force seed_store in
+  check_int "a -2 prefix has no candidates" 0 (List.length (visited store (digest_at (-2))));
+  check_int "candidates agrees" 0
+    (List.length (Pattern.Store.candidates store (digest_at (-2))))
+
 let store_index_suite =
   [
     Alcotest.test_case "store: one bucket per pattern" `Quick test_store_one_bucket;
     Alcotest.test_case "store: iter_candidates order golden" `Quick test_store_iter_order;
+    Alcotest.test_case "store: -2 prefix yields no candidates" `Quick
+      test_store_negative_prefix;
   ]
 
 let suite = suite @ store_index_suite

@@ -418,6 +418,50 @@ let test_shutdown_drains () =
       check_int "one scan in the lifetime stats" 1 s.Serve.st_scans;
       check_bool "latency percentiles recorded" true (s.Serve.st_p99_ms > 0.0)
 
+(* A daemon's memory must not grow with what it is asked to scan: after
+   scans of corpora it has never seen, the interner's end count — in the
+   status response and in the lifetime stats the ledger row records — is
+   the count right after the model load. *)
+let test_scans_leave_interner_flat () =
+  let _, model_a, _, _, _ = Lazy.force env in
+  let after_load, stats =
+    with_daemon ~jobs:2 ~model:model_a (fun _ target ->
+        let c = Client.connect ~retry_for:5.0 target in
+        let ends () = int_f "interner_ends" (req c (J.Obj [ ("op", J.String "status") ])) in
+        let after_load = ends () in
+        check_bool "status reports interner_ends" true (after_load > 0);
+        List.iteri
+          (fun k seed ->
+            let dir = temp_dir "test_serve_unseen" in
+            let corpus =
+              Corpus.generate
+                { (Corpus.default_config Corpus.Python) with Corpus.n_repos = 2; seed }
+            in
+            (* a name no model was trained on, in every file *)
+            let fresh = "zorbq" ^ String.make 3 (Char.chr (97 + k)) in
+            List.iter
+              (fun (f : Corpus.file) ->
+                let path = Filename.concat dir f.Corpus.path in
+                mkdir_p (Filename.dirname path);
+                let oc = open_out_bin path in
+                output_string oc f.Corpus.source;
+                Printf.fprintf oc "\n%s = %s.%s\n" fresh fresh fresh;
+                close_out oc)
+              corpus.Corpus.files;
+            let r = req c (scan_payload dir) in
+            check_bool "scan ok" true (is_ok r);
+            check_int
+              (Printf.sprintf "interner ends after never-seen corpus %d" (k + 1))
+              after_load (ends ()))
+          [ 101; 202; 303 ];
+        Client.close c;
+        after_load)
+  in
+  match stats with
+  | Some (s : Serve.stats) ->
+      check_int "lifetime stats record the same end count" after_load s.Serve.st_interner_ends
+  | None -> Alcotest.fail "serve_forever did not return"
+
 let suite =
   [
     ("serve: status round trip", `Quick, test_status);
@@ -437,4 +481,5 @@ let suite =
     ("serve: backpressure -> overloaded", `Quick, test_backpressure_overloaded);
     ("serve: injected fault -> degraded", `Quick, test_request_fault_degrades);
     ("serve: shutdown drains and reports stats", `Quick, test_shutdown_drains);
+    ("serve: scans leave the interner flat", `Quick, test_scans_leave_interner_flat);
   ]
