@@ -90,12 +90,14 @@ serve-smoke: build
 	cat "$$state/daemon.err"; \
 	echo "serve-smoke: OK"
 
-# Merge smoke mirroring the merge-smoke CI job: deal a generated corpus's
-# repos into two symlink-farm halves, train each into a partial, merge
-# the partials into a model, and require it to scan the corpus
-# byte-identically to a direct train over everything; then check the
-# --update incremental path lands on the same reports and that the merge
-# runs left cmd:"merge" rows in the run ledger.
+# Merge smoke, the one definition the merge-smoke CI job runs: deal a
+# generated corpus's repos into two symlink-farm halves, train each into
+# a partial, merge the partials into a model, and require it to scan the
+# corpus byte-identically to a direct train over everything; then check
+# the --update incremental path lands on the same reports, that its model
+# is byte-identical to the --merge model (both are first-seen over half1
+# then half2; the direct train is not, as the halves interleave repos),
+# and that the merge runs left cmd:"merge" rows in the run ledger.
 merge-smoke: build
 	@set -eu; \
 	state=$$(mktemp -d); trap 'rm -rf "$$state"' EXIT; \
@@ -122,6 +124,7 @@ merge-smoke: build
 	"$$namer" scan "$$state/corpus" --model "$$state/inc.nmdl" --max-reports 100000 \
 	  > "$$state/inc.txt" 2>/dev/null; \
 	diff "$$state/inc.txt" "$$state/full.txt"; \
+	cmp "$$state/inc.nmdl" "$$state/merged.nmdl"; \
 	test "$$(grep -c '"cmd":"merge"' "$$state/ledger/ledger.jsonl")" -eq 2; \
 	"$$namer" report --dir "$$state/ledger" | grep -q ' merge '; \
 	echo "merge-smoke: OK"

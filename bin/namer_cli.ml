@@ -471,26 +471,13 @@ let train_fresh lang dir jobs model_path partial_out obs =
   let refs = collect_refs lang dir in
   progress "mining %d files…" (List.length refs);
   let cfg = self_mining_config ~n_files:(List.length refs) ~jobs in
+  let p = Namer.Partial.of_refs cfg ~lang refs in
+  report_skipped (partial_skipped p);
   let extra =
-    match partial_out with
-    | Some _ ->
-        let p = Namer.Partial.of_refs cfg ~lang refs in
-        report_skipped (partial_skipped p);
-        emit_outputs ~model_path:None ~partial_out (lazy None) (Some p)
-        @ [ ("skipped", J.Int (Array.length p.Namer_model.Partial_model.pm_skipped)) ]
-        @
-        (match model_path with
-        | None -> []
-        | Some _ ->
-            (* both outputs: finalize the partial rather than train twice *)
-            emit_outputs ~model_path ~partial_out:None
-              (lazy (Some (Namer.Partial.finalize cfg p)))
-              None)
-    | None ->
-        let t = Namer.build_refs cfg ~lang refs in
-        report_skipped t.Namer.skipped;
-        emit_outputs ~model_path ~partial_out:None (lazy (Some t)) None
-        @ [ ("skipped", J.Int (List.length t.Namer.skipped)) ]
+    emit_outputs ~model_path ~partial_out
+      (lazy (Some (Namer.Partial.finalize cfg p)))
+      (Some p)
+    @ [ ("skipped", J.Int (Array.length p.Namer_model.Partial_model.pm_skipped)) ]
   in
   finish ~extra:(refs_fields ~jobs refs @ extra) ()
 

@@ -188,24 +188,6 @@ let reset_in_flight_peak () =
 
 let in_flight_sources_peak () = Atomic.get in_flight_peak
 
-(* [chunk n xs] splits [xs] into consecutive slices of [n] (last one may be
-   shorter) — the streaming batch plan.  Contiguity is what makes batching
-   invisible to interning: first-seen order over the concatenation of
-   contiguous slices is first-seen order over the whole sequence. *)
-let chunk n xs =
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> take (k - 1) (x :: acc) rest
-  in
-  let rec go acc = function
-    | [] -> List.rev acc
-    | xs ->
-        let batch, rest = take n [] xs in
-        go (batch :: acc) rest
-  in
-  go [] xs
-
 let skip_file ~path reason =
   Telemetry.count "scan.files_skipped";
   Log.warn (fun m -> m "skipping file %s: %s" path reason);
@@ -264,10 +246,11 @@ let digest_source ~digest ~cfg ~lang ~repo ~path source :
       | exception Out_of_memory -> raise Out_of_memory
       | exception e -> skip (Printexc.to_string e))
 
-(** Load and digest one file reference.  The source exists only between
+(** Load and digest one file reference, interning its name paths into
+    the shard-local [table].  The source exists only between
     [fr_load] and the return — the heart of the streaming contract; a read
     failure is per-file degradation like any parse failure. *)
-let digest_file ?table ~cfg ~lang ~(file : file_ref) () :
+let digest_file ~table ~cfg ~lang (file : file_ref) :
     scanned_stmt list * skipped option =
   match file.fr_load () with
   | exception Out_of_memory -> raise Out_of_memory
@@ -276,7 +259,7 @@ let digest_file ?table ~cfg ~lang ~(file : file_ref) () :
       gauge_enter ();
       Fun.protect ~finally:gauge_exit (fun () ->
           digest_source
-            ~digest:(Pattern.Stmt_paths.of_tree ?table ~limit:cfg.miner.Miner.max_stmt_paths)
+            ~digest:(Pattern.Stmt_paths.of_tree ~table ~limit:cfg.miner.Miner.max_stmt_paths)
             ~cfg ~lang ~repo:file.fr_repo ~path:file.fr_path source)
 
 (* ------------------------------------------------------------------ *)
@@ -308,8 +291,7 @@ module Pairs_acc = struct
 end
 
 (* The builtin catalog as a table, each pair seeded at exactly the prune
-   threshold — the no-history fallback shared by [mine_pairs] and partial
-   finalization. *)
+   threshold — finalization's no-history fallback. *)
 let builtin_table ~(cfg : config) ~lang =
   let pairs = Confusing_pairs.create () in
   List.iter
@@ -337,13 +319,6 @@ let mine_commit_tallies ?pool ~shards ~lang ~commits () =
         commits;
       local)
     commits
-
-let mine_pairs ?pool ~shards ~cfg ~lang ~commits () =
-  if commits = [] then builtin_table ~cfg ~lang
-  else
-    Confusing_pairs.prune
-      (mine_commit_tallies ?pool ~shards ~lang ~commits ())
-      ~min_count:cfg.pair_min_count
 
 (* Draw a balanced labeled sample (with simulated labeling error) and train
    the classifier — the "small supervision" of §5.1.  Returns the
@@ -392,336 +367,6 @@ let train_classifier ~(cfg : config) ~prng ~(violations : violation array) ~grad
       (Some (Namer_ml.Pipeline.train ~algo ~prng x y), reports, training_set)
     end
   end
-
-(* 1. digest every file: load → parse → analyze → AST+ → name paths.
-   Files stream through in bounded batches of [cfg.digest_batch]: a batch
-   is read, digested and dropped before the next one is touched, so at
-   most O(batch) sources and ASTs are ever resident — never the corpus.
-   Within a batch each shard (contiguous, repo-aligned) runs on its own
-   domain; flattening the per-shard statement lists in shard order, batch
-   after batch, reproduces the sequential statement order exactly, which
-   everything downstream depends on.  With a pool, each shard interns
-   name paths into its own local table — worker domains never touch the
-   shared one — and the tables merge into the global id space in shard
-   order afterwards.  Batches and shards are both contiguous slices of
-   the corpus sequence merged in order, so the first-seen id assignment
-   equals the sequential one for every [digest_batch] and [jobs].
-   Shared by [build_core] and [Partial.of_refs]. *)
-let digest_refs ?pool ~shards ~(cfg : config) ~lang (refs : file_ref list) :
-    scanned_stmt list * skipped list =
-  let n_files = List.length refs in
-  let digest_shard ?table files =
-    let skips_rev = ref [] in
-    let stmts =
-      List.concat_map
-        (fun file ->
-          let stmts, skip = digest_file ?table ~cfg ~lang ~file () in
-          Option.iter (fun k -> skips_rev := k :: !skips_rev) skip;
-          stmts)
-        files
-    in
-    (stmts, List.rev !skips_rev)
-  in
-  let stmts_rev = ref [] and skips_rev = ref [] in
-  List.iter
-    (fun batch ->
-      match pool with
-      | None ->
-          List.iter
-            (fun file ->
-              let stmts, skip = digest_file ~cfg ~lang ~file () in
-              stmts_rev := List.rev_append stmts !stmts_rev;
-              Option.iter (fun k -> skips_rev := k :: !skips_rev) skip)
-            batch
-      | Some _ ->
-          let parts =
-            Accumulator.sharded_map ?pool ~shards
-              ~key:(fun r -> r.fr_repo)
-              (fun files ->
-                let table = Namepath.Interned.create_table () in
-                let stmts, skips = digest_shard ~table files in
-                (table, stmts, skips))
-              batch
-          in
-          Telemetry.with_span "digest:remap" @@ fun () ->
-          List.iter
-            (fun (table, shard_stmts, shard_skips) ->
-              let m = Namepath.Interned.remap_into_global table in
-              List.iter
-                (fun s ->
-                  stmts_rev :=
-                    { s with digest = Pattern.Stmt_paths.remap m s.digest }
-                    :: !stmts_rev)
-                shard_stmts;
-              skips_rev := List.rev_append shard_skips !skips_rev)
-            parts)
-    (chunk (max 1 cfg.digest_batch) refs);
-  let stmts = List.rev !stmts_rev and skipped = List.rev !skips_rev in
-  if skipped <> [] then begin
-    Log.warn (fun m ->
-        m "degraded: skipped %d of %d files" (List.length skipped) n_files);
-    Events.emit
-      ~fields:
-        [
-          ("skipped", Namer_util.Json.Int (List.length skipped));
-          ("total", Namer_util.Json.Int n_files);
-        ]
-      Events.Warn "build.degraded"
-  end;
-  Telemetry.count ~by:(List.length stmts) "build.statements_digested";
-  Log.info (fun m -> m "digested %d statements" (List.length stmts));
-  (stmts, skipped)
-
-(* Stages 2–6 over already-digested statements — everything downstream of
-   the frontend, shared by [build_core] (fresh digests) and
-   [Partial.finalize] (statements replayed from merged partials).
-   [mk_pairs] supplies the confusing-pair table: commit mining for a
-   direct build, summed tallies (or the builtin fallback) for a merge. *)
-let train_digested ?patterns ?pool (cfg : config) ~lang ~shards ~stmts ~skipped
-    ~n_files ~n_repos ~mk_pairs ~oracle ~source_of : t =
-  let prng = Prng.create cfg.seed in
-  (* Dense per-build file/repo ids: the scan aggregates key on ints, not
-     paths.  First-seen order over the statement list, so ids are shard-plan
-     independent. *)
-  let file_ids = Interner.create () and repo_ids = Interner.create () in
-  List.iter
-    (fun s ->
-      s.sctx.Features.file_id <- Interner.intern file_ids s.sctx.Features.file;
-      s.sctx.Features.repo_id <- Interner.intern repo_ids s.sctx.Features.repo)
-    stmts;
-  (* The corpus is fully interned: freeze the global table so the mining
-     and scan stages — including their sharded passes — run against a
-     read-only id space, and thaw on the way out (later builds or tests
-     digest new statements against the same global table). *)
-  Namepath.Interned.freeze ();
-  Fun.protect ~finally:Namepath.Interned.thaw @@ fun () ->
-  (* 2. confusing word pairs from history *)
-  let pairs = Telemetry.with_span "pair-mining" @@ fun () -> mk_pairs () in
-  Telemetry.count ~by:(Confusing_pairs.total_pairs pairs) "build.confusing_pairs";
-  Log.info (fun m -> m "mined %d confusing pairs" (Confusing_pairs.total_pairs pairs));
-  (* 3. mine both pattern types (unless a store was supplied) *)
-  let store, n_candidates =
-    Telemetry.with_span "pattern-mining" @@ fun () ->
-    match patterns with
-    | Some store -> (store, 0)
-    | None ->
-        let digests = List.map (fun s -> s.digest) stmts in
-        let consistency =
-          Miner.mine ?pool ~config:cfg.miner ~kind:`Consistency ~pairs digests
-        in
-        let confusing =
-          Miner.mine ?pool ~config:cfg.miner ~kind:`Confusing ~pairs digests
-        in
-        let ordering =
-          Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
-            digests
-        in
-        let store = Pattern.Store.create () in
-        List.iter
-          (fun (r : Miner.result) ->
-            Pattern.Store.iter
-              (fun p -> ignore (Pattern.Store.add store { p with id = -1 }))
-              r.Miner.store)
-          [ consistency; confusing; ordering ];
-        ( store,
-          consistency.Miner.n_candidates + confusing.Miner.n_candidates
-          + ordering.Miner.n_candidates )
-  in
-  Telemetry.count ~by:n_candidates "build.pattern_candidates";
-  Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
-  Log.info (fun m -> m "kept %d patterns" (Pattern.Store.size store));
-  (* 4. scan: aggregates + violations.  The store is read-only during the
-     scan, so shards match concurrently, each into a private aggregate and
-     violation list; aggregates merge commutatively and violation lists
-     concatenate in shard order, reproducing the sequential scan order. *)
-  let agg = Features.Agg.create () in
-  let violating_files : (int, unit) Hashtbl.t = Hashtbl.create 64
-  and violating_repos : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let violations_in_order =
-    Telemetry.with_span "scan" @@ fun () ->
-    let parts =
-      Accumulator.sharded_map ?pool ~shards
-        (fun shard ->
-          let agg = Features.Agg.create () in
-          let viols_rev = ref [] in
-          let vfiles = Hashtbl.create 64 and vrepos = Hashtbl.create 64 in
-          List.iter
-            (fun s ->
-              Features.Agg.add_stmt agg s.sctx;
-              Pattern.Store.iter_candidates
-                (fun (p : Pattern.t) ->
-                  let rel = Pattern.check p s.digest in
-                  Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel;
-                  match rel with
-                  | Pattern.Violated info ->
-                      Hashtbl.replace vfiles s.sctx.Features.file_id ();
-                      Hashtbl.replace vrepos s.sctx.Features.repo_id ();
-                      viols_rev :=
-                        { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] }
-                        :: !viols_rev
-                  | _ -> ())
-                store s.digest)
-            shard;
-          (agg, List.rev !viols_rev, vfiles, vrepos))
-        stmts
-    in
-    List.concat_map
-      (fun (part_agg, part_viols, part_files, part_repos) ->
-        Features.Agg.merge ~into:agg part_agg;
-        Hashtbl.iter (fun k () -> Hashtbl.replace violating_files k ()) part_files;
-        Hashtbl.iter (fun k () -> Hashtbl.replace violating_repos k ()) part_repos;
-        part_viols)
-      parts
-  in
-  Telemetry.count ~by:(List.length violations_in_order) "build.violations_raw";
-  (* Deduplicate: subset-condition variants of one rule all fire on the same
-     statement with the same fix; a user sees one report per
-     (statement, offending name, suggestion, pattern type).  Keep the variant
-     with the largest condition — the most specific match — so features 14
-     and 15 describe the strongest evidence. *)
-  let dedup = Hashtbl.create 1024 in
-  List.iter
-    (fun (v : violation) ->
-      let key =
-        ( v.v_stmt.sctx.Features.file,
-          v.v_stmt.line,
-          v.v_info.Pattern.offending_prefix,
-          v.v_info.Pattern.suggested,
-          match v.v_pattern.Pattern.kind with
-          | Pattern.Consistency -> 0
-          | Pattern.Confusing_word _ -> 1
-          | Pattern.Ordering _ -> 2 )
-      in
-      match Hashtbl.find_opt dedup key with
-      | Some prev
-        when List.length prev.v_pattern.Pattern.condition
-             >= List.length v.v_pattern.Pattern.condition ->
-          ()
-      | _ -> Hashtbl.replace dedup key v)
-    violations_in_order;
-  let violations =
-    Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
-    |> List.sort (fun a b ->
-           compare
-             (a.v_stmt.sctx.Features.file, a.v_stmt.line, a.v_info.Pattern.offending_prefix)
-             (b.v_stmt.sctx.Features.file, b.v_stmt.line, b.v_info.Pattern.offending_prefix))
-    |> Array.of_list
-  in
-  Telemetry.count ~by:(Array.length violations) "build.violations_deduped";
-  Log.info (fun m -> m "triggered %d violations (deduplicated)" (Array.length violations));
-  (* 5. features: every vector is independent (agg and pairs are read-only
-     by now), so chunk the index space and extract concurrently — each task
-     writes a disjoint slice of the array. *)
-  Telemetry.with_span "features" (fun () ->
-      let extract_range (lo, hi) =
-        for i = lo to hi - 1 do
-          let v = violations.(i) in
-          v.v_features <- Features.extract agg pairs v.v_stmt.sctx v.v_pattern v.v_info
-        done
-      in
-      let n = Array.length violations in
-      match pool with
-      | None -> extract_range (0, n)
-      | Some pool ->
-          let size = max 1 ((n + shards - 1) / shards) in
-          List.init shards (fun i -> (i * size, min n ((i + 1) * size)))
-          |> List.filter (fun (lo, hi) -> lo < hi)
-          |> Pool.map_list pool extract_range
-          |> ignore);
-  (* 6. small supervision: balanced labeled sample, graded by the oracle
-     (standing in for the paper's manual labeling). *)
-  let oracle, classifier, cv_reports, training_set =
-    Telemetry.with_span "classifier" @@ fun () ->
-    let oracle = oracle () in
-    let grade_v (v : violation) =
-      Corpus.Oracle.grade oracle ~file:v.v_stmt.sctx.Features.file ~line:v.v_stmt.line
-        ~found:v.v_info.Pattern.found ~suggested:v.v_info.Pattern.suggested
-        ~symmetric:(v.v_pattern.Pattern.kind = Pattern.Consistency)
-    in
-    let classifier, cv_reports, training_set =
-      train_classifier ~cfg ~prng ~violations ~grade_v
-    in
-    (oracle, classifier, cv_reports, training_set)
-  in
-  {
-    cfg;
-    lang;
-    pairs;
-    store;
-    agg;
-    violations;
-    classifier;
-    cv_reports;
-    training_set;
-    oracle;
-    source_of;
-    n_stmts = List.length stmts;
-    n_files;
-    n_repos;
-    n_files_violating = Hashtbl.length violating_files;
-    n_repos_violating = Hashtbl.length violating_repos;
-    n_candidates;
-    skipped;
-  }
-
-(** [build_core cfg ~lang ~refs ~commits ~oracle ~source_of] — digest the
-    refs, then run the downstream stages; see [build] for the contract.
-    [patterns] short-circuits mining with a pre-mined store (e.g. loaded
-    from disk via {!Namer_pattern.Pattern_io}) — the mine-once / scan-many
-    workflow.
-
-    With [cfg.jobs > 1], the per-file stages (digest), the per-commit stage
-    (pair mining), the corpus-wide counting passes inside mining, the scan
-    and feature extraction all run sharded over a domain pool.  Every shard
-    plan is deterministic and every merge happens in shard order over
-    commutative accumulators, so a [jobs = N] build is bit-identical to a
-    [jobs = 1] build — only wall-clock changes. *)
-let build_core ?patterns (cfg : config) ~lang ~(refs : file_ref list) ~commits
-    ~oracle ~source_of : t =
-  Pool.run ~cap_to_cores:cfg.cap_domains ~jobs:cfg.jobs @@ fun pool ->
-  let shards =
-    Shard.oversubscribe ~jobs:(match pool with Some p -> Pool.size p | None -> 1)
-  in
-  Telemetry.with_span "build" @@ fun () ->
-  let stmts, skipped = digest_refs ?pool ~shards ~cfg ~lang refs in
-  let repos = Hashtbl.create 64 in
-  List.iter (fun r -> Hashtbl.replace repos r.fr_repo ()) refs;
-  train_digested ?patterns ?pool cfg ~lang ~shards ~stmts ~skipped
-    ~n_files:(List.length refs) ~n_repos:(Hashtbl.length repos)
-    ~mk_pairs:(fun () -> mine_pairs ?pool ~shards ~cfg ~lang ~commits ())
-    ~oracle ~source_of
-
-(** [build cfg corpus] — the in-memory entry point: digest a generated
-    corpus whose sources are already resident.  Report listings and the
-    oracle read straight from the corpus. *)
-let build ?patterns (cfg : config) (corpus : Corpus.t) : t =
-  let sources = Hashtbl.create 256 in
-  List.iter
-    (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
-    corpus.Corpus.files;
-  build_core ?patterns cfg ~lang:corpus.Corpus.lang
-    ~refs:(List.map ref_of_file corpus.Corpus.files)
-    ~commits:corpus.Corpus.commits
-    ~oracle:(fun () -> Corpus.Oracle.of_corpus corpus)
-    ~source_of:(Hashtbl.find_opt sources)
-
-(** [build_refs cfg ~lang refs] — the streaming entry point: digest files
-    lazily through their [fr_load] thunks, never holding more than one
-    batch of sources.  No commit history (builtin confusing pairs) and an
-    empty oracle, exactly like training on unlabeled on-disk files; report
-    listings re-read the file on demand. *)
-let build_refs ?patterns (cfg : config) ~lang (refs : file_ref list) : t =
-  let loaders = Hashtbl.create 256 in
-  List.iter (fun r -> Hashtbl.replace loaders r.fr_path r.fr_load) refs;
-  let empty =
-    { Corpus.lang; files = []; injections = []; benigns = []; commits = [] }
-  in
-  build_core ?patterns cfg ~lang ~refs ~commits:[]
-    ~oracle:(fun () -> Corpus.Oracle.of_corpus empty)
-    ~source_of:(fun path ->
-      match Hashtbl.find_opt loaders path with
-      | None -> None
-      | Some load -> ( try Some (load ()) with _ -> None))
 
 (** [retrain t ~seed] re-draws the labeled training sample and re-trains
     the classifier (mining and scanning are untouched).  Used by the bench
@@ -1119,12 +764,12 @@ module Partial = struct
       miner = { cfg.miner with Miner.max_stmt_paths = p.P.pm_max_stmt_paths };
     }
 
-  (* Package one digested slice as a partial: files in corpus order,
+  (* Package one digested shard as a partial: files in corpus order,
      statements as vocab-index arrays, the vocabulary in first-seen order —
      the order a sequential digest first interned each distinct whole path,
-     which [finalize] replays to reproduce the id assignment. *)
-  let export ~(cfg : config) ~lang ~(refs : file_ref list) ~stmts ~skipped
-      ~pair_tallies ~n_commits : P.t =
+     which [finalize] replays to reproduce the id assignment.  Vocab
+     indices key on the path ids of the table the shard interned into. *)
+  let export ~(cfg : config) ~lang ~(refs : file_ref list) ~stmts ~skipped : P.t =
     let files = Array.of_list (List.map (fun r -> (r.fr_repo, r.fr_path)) refs) in
     let file_idx = Hashtbl.create (max 16 (Array.length files)) in
     Array.iteri
@@ -1172,36 +817,78 @@ module Partial = struct
       pm_stmts = Array.of_list pstmts;
       pm_skipped =
         Array.of_list (List.map (fun k -> (idx_of_file k.sk_file, k.sk_reason)) skipped);
-      pm_pairs = pair_tallies;
-      pm_n_commits = n_commits;
+      pm_pairs = [];
+      pm_n_commits = 0;
     }
 
+  (* One digest shard, on whichever domain runs it: every file is loaded,
+     digested into a fresh shard-local table and dropped, and the shard
+     leaves as a partial over that table's vocabulary. *)
+  let digest_shard ~cfg ~lang files =
+    let table = Namepath.Interned.create_table () in
+    let stmts_rev = ref [] and skips_rev = ref [] in
+    List.iter
+      (fun file ->
+        let stmts, skip = digest_file ~table ~cfg ~lang file in
+        stmts_rev := List.rev_append stmts !stmts_rev;
+        Option.iter (fun k -> skips_rev := k :: !skips_rev) skip)
+      files;
+    export ~cfg ~lang ~refs:files ~stmts:(List.rev !stmts_rev)
+      ~skipped:(List.rev !skips_rev)
+
   (** [of_refs cfg ~lang refs] digests one corpus slice into a partial —
-      the frontend of [build_refs] with the downstream stages deferred to
-      {!finalize}.  Commit histories are tallied unpruned so tallies sum
-      under {!merge}. *)
+      the only training digest: load → parse → analyze → AST+ → name
+      paths.  Files stream through in bounded batches of
+      [cfg.digest_batch]: a batch is read, digested and dropped before the
+      next one is touched, so at most O(batch) sources and ASTs are ever
+      resident.  Each batch splits into contiguous shards (one without a
+      pool); each shard interns into its own table and becomes a partial,
+      and the shard partials fold in order through {!merge_all}.
+      Contiguous slices merged in order keep first-seen order, so the
+      partial is the same bytes for every [digest_batch] and [jobs], and
+      the global interner is never written.  Commit histories are tallied
+      unpruned so tallies sum under {!merge}. *)
   let of_refs ?(commits = []) (cfg : config) ~lang (refs : file_ref list) : P.t =
     Pool.run ~cap_to_cores:cfg.cap_domains ~jobs:cfg.jobs @@ fun pool ->
     let shards =
-      Shard.oversubscribe ~jobs:(match pool with Some pl -> Pool.size pl | None -> 1)
+      match pool with Some pl -> Shard.oversubscribe ~jobs:(Pool.size pl) | None -> 1
     in
     Telemetry.with_span "partial:train" @@ fun () ->
-    let stmts, skipped = digest_refs ?pool ~shards ~cfg ~lang refs in
-    let pair_tallies, n_commits =
-      if commits = [] then ([], 0)
-      else
-        ( Confusing_pairs.bindings (mine_commit_tallies ?pool ~shards ~lang ~commits ()),
-          List.length commits )
+    let parts =
+      List.concat_map
+        (Accumulator.sharded_map ?pool ~shards (digest_shard ~cfg ~lang))
+        (Shard.chunks ~size:cfg.digest_batch refs)
     in
-    export ~cfg ~lang ~refs ~stmts ~skipped ~pair_tallies ~n_commits
+    (* the refs-free export carries the meta when there are no shards *)
+    let p = P.merge_all (export ~cfg ~lang ~refs:[] ~stmts:[] ~skipped:[] :: parts) in
+    let n_skipped = Array.length p.P.pm_skipped and n_files = List.length refs in
+    if n_skipped > 0 then begin
+      Log.warn (fun m -> m "degraded: skipped %d of %d files" n_skipped n_files);
+      Events.emit
+        ~fields:
+          [
+            ("skipped", Namer_util.Json.Int n_skipped);
+            ("total", Namer_util.Json.Int n_files);
+          ]
+        Events.Warn "build.degraded"
+    end;
+    Telemetry.count ~by:(P.n_stmts p) "build.statements_digested";
+    Log.info (fun m -> m "digested %d statements" (P.n_stmts p));
+    if commits = [] then p
+    else
+      let tallies =
+        Telemetry.with_span "pair-mining" @@ fun () ->
+        mine_commit_tallies ?pool ~shards ~lang ~commits ()
+      in
+      { p with P.pm_pairs = Confusing_pairs.bindings tallies;
+        pm_n_commits = List.length commits }
 
   let of_corpus (cfg : config) (corpus : Corpus.t) : P.t =
     of_refs ~commits:corpus.Corpus.commits cfg ~lang:corpus.Corpus.lang
       (List.map ref_of_file corpus.Corpus.files)
 
-  (* The finalize-time pair table: prune the summed tallies exactly as a
-     direct build prunes its mined ones; a history-less partial falls back
-     to the builtin catalog, like a history-less build. *)
+  (* The finalize-time pair table: prune the summed tallies; a
+     history-less partial falls back to the builtin catalog. *)
   let pairs_of (cfg : config) ~lang (p : P.t) =
     if p.P.pm_n_commits = 0 then builtin_table ~cfg ~lang
     else begin
@@ -1210,13 +897,19 @@ module Partial = struct
       Confusing_pairs.prune t ~min_count:cfg.pair_min_count
     end
 
-  (** [finalize cfg p] runs stages 2–6 over the partial's replayed
-      statements, producing the same build a direct [train] of the
-      concatenated slices would: vocabulary replay reproduces the
+  (** [finalize cfg p] — the only training suffix: stages 2–6 over the
+      partial's replayed statements.  Vocabulary replay reproduces the
       sequential id assignment, statements rebuild in corpus order, and
-      summed pair tallies prune to the mined table.  [oracle] (default
-      empty) grades the labeled sample when the slices came from a
-      generated corpus. *)
+      summed pair tallies prune to the mined table.  [patterns]
+      short-circuits mining with a pre-mined store (e.g. loaded from disk
+      via {!Namer_pattern.Pattern_io}); [oracle] (default empty) grades the
+      labeled sample when the slices came from a generated corpus.
+
+      With [cfg.jobs > 1] the corpus-wide counting passes inside mining,
+      the scan and feature extraction run sharded over a domain pool.
+      Every shard plan is deterministic and every merge happens in shard
+      order over commutative accumulators, so the result is bit-identical
+      to [jobs = 1] — only wall-clock changes. *)
   let finalize ?patterns ?oracle (cfg : config) (p : P.t) =
     let lang = lang_of p in
     let cfg = align_config cfg p in
@@ -1249,6 +942,10 @@ module Partial = struct
                       "vocab" text msg)))
         p.P.pm_vocab
     in
+    (* Dense per-build file/repo ids: the scan aggregates key on ints, not
+       paths.  First-seen order over the statements, so ids are shard-plan
+       independent. *)
+    let file_ids = Interner.create () and repo_ids = Interner.create () in
     let stmts =
       Array.to_list
         (Array.map
@@ -1263,8 +960,8 @@ module Partial = struct
                  {
                    Features.file;
                    repo;
-                   file_id = -1;
-                   repo_id = -1;
+                   file_id = Interner.intern file_ids file;
+                   repo_id = Interner.intern repo_ids repo;
                    tree_hash = s.P.ps_tree_hash;
                    n_paths = digest.Pattern.Stmt_paths.n_paths;
                  };
@@ -1279,30 +976,197 @@ module Partial = struct
            (fun (i, reason) -> { sk_file = snd p.P.pm_files.(i); sk_reason = reason })
            p.P.pm_skipped)
     in
-    let repos = Hashtbl.create 64 in
-    Array.iter (fun (repo, _) -> Hashtbl.replace repos repo ()) p.P.pm_files;
-    let oracle =
-      match oracle with
-      | Some o -> o
+    let prng = Prng.create cfg.seed in
+    (* The corpus is fully interned: freeze the global table so the mining
+       and scan stages — including their sharded passes — run against a
+       read-only id space, and thaw on the way out (later builds or tests
+       digest new statements against the same global table). *)
+    Namepath.Interned.freeze ();
+    Fun.protect ~finally:Namepath.Interned.thaw @@ fun () ->
+    (* 2. confusing word pairs from history *)
+    let pairs = Telemetry.with_span "pair-mining" @@ fun () -> pairs_of cfg ~lang p in
+    Telemetry.count ~by:(Confusing_pairs.total_pairs pairs) "build.confusing_pairs";
+    Log.info (fun m -> m "mined %d confusing pairs" (Confusing_pairs.total_pairs pairs));
+    (* 3. mine both pattern types (unless a store was supplied) *)
+    let store, n_candidates =
+      Telemetry.with_span "pattern-mining" @@ fun () ->
+      match patterns with
+      | Some store -> (store, 0)
       | None ->
-          fun () ->
+          let digests = List.map (fun s -> s.digest) stmts in
+          let consistency =
+            Miner.mine ?pool ~config:cfg.miner ~kind:`Consistency ~pairs digests
+          in
+          let confusing =
+            Miner.mine ?pool ~config:cfg.miner ~kind:`Confusing ~pairs digests
+          in
+          let ordering =
+            Miner.mine ?pool ~config:cfg.miner ~kind:(`Ordering cfg.ordering_vocab) ~pairs
+              digests
+          in
+          let store = Pattern.Store.create () in
+          List.iter
+            (fun (r : Miner.result) ->
+              Pattern.Store.iter
+                (fun p -> ignore (Pattern.Store.add store { p with id = -1 }))
+                r.Miner.store)
+            [ consistency; confusing; ordering ];
+          ( store,
+            consistency.Miner.n_candidates + confusing.Miner.n_candidates
+            + ordering.Miner.n_candidates )
+    in
+    Telemetry.count ~by:n_candidates "build.pattern_candidates";
+    Telemetry.count ~by:(Pattern.Store.size store) "build.patterns_kept";
+    Log.info (fun m -> m "kept %d patterns" (Pattern.Store.size store));
+    (* 4. scan: aggregates + violations.  The store is read-only during the
+       scan, so shards match concurrently, each into a private aggregate and
+       violation list; aggregates merge commutatively and violation lists
+       concatenate in shard order, reproducing the sequential scan order. *)
+    let agg = Features.Agg.create () in
+    let violating_files : (int, unit) Hashtbl.t = Hashtbl.create 64
+    and violating_repos : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    let violations_in_order =
+      Telemetry.with_span "scan" @@ fun () ->
+      let parts =
+        Accumulator.sharded_map ?pool ~shards
+          (fun shard ->
+            let agg = Features.Agg.create () in
+            let viols_rev = ref [] in
+            let vfiles = Hashtbl.create 64 and vrepos = Hashtbl.create 64 in
+            List.iter
+              (fun s ->
+                Features.Agg.add_stmt agg s.sctx;
+                Pattern.Store.iter_candidates
+                  (fun (p : Pattern.t) ->
+                    let rel = Pattern.check p s.digest in
+                    Features.Agg.add_outcome agg s.sctx ~pattern_id:p.id rel;
+                    match rel with
+                    | Pattern.Violated info ->
+                        Hashtbl.replace vfiles s.sctx.Features.file_id ();
+                        Hashtbl.replace vrepos s.sctx.Features.repo_id ();
+                        viols_rev :=
+                          { v_stmt = s; v_pattern = p; v_info = info; v_features = [||] }
+                          :: !viols_rev
+                    | _ -> ())
+                  store s.digest)
+              shard;
+            (agg, List.rev !viols_rev, vfiles, vrepos))
+          stmts
+      in
+      List.concat_map
+        (fun (part_agg, part_viols, part_files, part_repos) ->
+          Features.Agg.merge ~into:agg part_agg;
+          Hashtbl.iter (fun k () -> Hashtbl.replace violating_files k ()) part_files;
+          Hashtbl.iter (fun k () -> Hashtbl.replace violating_repos k ()) part_repos;
+          part_viols)
+        parts
+    in
+    Telemetry.count ~by:(List.length violations_in_order) "build.violations_raw";
+    (* Deduplicate: subset-condition variants of one rule all fire on the same
+       statement with the same fix; a user sees one report per
+       (statement, offending name, suggestion, pattern type).  Keep the variant
+       with the largest condition — the most specific match — so features 14
+       and 15 describe the strongest evidence. *)
+    let dedup = Hashtbl.create 1024 in
+    List.iter
+      (fun (v : violation) ->
+        let key =
+          ( v.v_stmt.sctx.Features.file,
+            v.v_stmt.line,
+            v.v_info.Pattern.offending_prefix,
+            v.v_info.Pattern.suggested,
+            match v.v_pattern.Pattern.kind with
+            | Pattern.Consistency -> 0
+            | Pattern.Confusing_word _ -> 1
+            | Pattern.Ordering _ -> 2 )
+        in
+        match Hashtbl.find_opt dedup key with
+        | Some prev
+          when List.length prev.v_pattern.Pattern.condition
+               >= List.length v.v_pattern.Pattern.condition ->
+            ()
+        | _ -> Hashtbl.replace dedup key v)
+      violations_in_order;
+    let violations =
+      Hashtbl.fold (fun _ v acc -> v :: acc) dedup []
+      |> List.sort (fun a b ->
+             compare
+               (a.v_stmt.sctx.Features.file, a.v_stmt.line, a.v_info.Pattern.offending_prefix)
+               (b.v_stmt.sctx.Features.file, b.v_stmt.line, b.v_info.Pattern.offending_prefix))
+      |> Array.of_list
+    in
+    Telemetry.count ~by:(Array.length violations) "build.violations_deduped";
+    Log.info (fun m -> m "triggered %d violations (deduplicated)" (Array.length violations));
+    (* 5. features: every vector is independent (agg and pairs are read-only
+       by now), so chunk the index space and extract concurrently — each task
+       writes a disjoint slice of the array. *)
+    Telemetry.with_span "features" (fun () ->
+        let extract_range (lo, hi) =
+          for i = lo to hi - 1 do
+            let v = violations.(i) in
+            v.v_features <- Features.extract agg pairs v.v_stmt.sctx v.v_pattern v.v_info
+          done
+        in
+        let n = Array.length violations in
+        match pool with
+        | None -> extract_range (0, n)
+        | Some pool ->
+            let size = max 1 ((n + shards - 1) / shards) in
+            List.init shards (fun i -> (i * size, min n ((i + 1) * size)))
+            |> List.filter (fun (lo, hi) -> lo < hi)
+            |> Pool.map_list pool extract_range
+            |> ignore);
+    (* 6. small supervision: balanced labeled sample, graded by the oracle
+       (standing in for the paper's manual labeling). *)
+    let oracle, classifier, cv_reports, training_set =
+      Telemetry.with_span "classifier" @@ fun () ->
+      let oracle =
+        match oracle with
+        | Some o -> o ()
+        | None ->
             Corpus.Oracle.of_corpus
               { Corpus.lang; files = []; injections = []; benigns = []; commits = [] }
+      in
+      let grade_v (v : violation) =
+        Corpus.Oracle.grade oracle ~file:v.v_stmt.sctx.Features.file ~line:v.v_stmt.line
+          ~found:v.v_info.Pattern.found ~suggested:v.v_info.Pattern.suggested
+          ~symmetric:(v.v_pattern.Pattern.kind = Pattern.Consistency)
+      in
+      let classifier, cv_reports, training_set =
+        train_classifier ~cfg ~prng ~violations ~grade_v
+      in
+      (oracle, classifier, cv_reports, training_set)
     in
-    train_digested ?patterns ?pool cfg ~lang ~shards ~stmts ~skipped
-      ~n_files:(Array.length p.P.pm_files) ~n_repos:(Hashtbl.length repos)
-      ~mk_pairs:(fun () -> pairs_of cfg ~lang p)
-      ~oracle
-      ~source_of:(fun path ->
-        match open_in_bin path with
-        | exception Sys_error _ -> None
-        | ic ->
-            Fun.protect
-              ~finally:(fun () -> close_in_noerr ic)
-              (fun () ->
-                match really_input_string ic (in_channel_length ic) with
-                | s -> Some s
-                | exception _ -> None))
+    {
+      cfg;
+      lang;
+      pairs;
+      store;
+      agg;
+      violations;
+      classifier;
+      cv_reports;
+      training_set;
+      oracle;
+      source_of =
+        (fun path ->
+          match open_in_bin path with
+          | exception Sys_error _ -> None
+          | ic ->
+              Fun.protect
+                ~finally:(fun () -> close_in_noerr ic)
+                (fun () ->
+                  match really_input_string ic (in_channel_length ic) with
+                  | s -> Some s
+                  | exception _ -> None));
+      n_stmts = List.length stmts;
+      n_files = P.n_files p;
+      n_repos = P.n_repos p;
+      n_files_violating = Hashtbl.length violating_files;
+      n_repos_violating = Hashtbl.length violating_repos;
+      n_candidates;
+      skipped;
+    }
 
   let save (p : P.t) ~path =
     Telemetry.with_span "partial:save" @@ fun () ->
@@ -1322,6 +1186,45 @@ module Partial = struct
           (P.n_stmts p) path);
     (p, hash)
 end
+
+(** [build cfg corpus] — the in-memory entry point, [finalize (of_corpus
+    …)] under one "build" span covering digest and mining: the corpus's
+    commits mine the confusing pairs, its oracle grades the labeled
+    sample, and report listings read straight from its sources. *)
+let build ?patterns (cfg : config) (corpus : Corpus.t) : t =
+  let sources = Hashtbl.create 256 in
+  List.iter
+    (fun (f : Corpus.file) -> Hashtbl.replace sources f.Corpus.path f.Corpus.source)
+    corpus.Corpus.files;
+  let t =
+    Telemetry.with_span "build" @@ fun () ->
+    Partial.finalize ?patterns
+      ~oracle:(fun () -> Corpus.Oracle.of_corpus corpus)
+      cfg (Partial.of_corpus cfg corpus)
+  in
+  { t with source_of = Hashtbl.find_opt sources }
+
+(** [build_refs cfg ~lang refs] — the streaming entry point, [finalize
+    (of_refs …)] under one "build" span: files are digested lazily
+    through their [fr_load] thunks, never more than one batch of sources
+    at a time.  No commit history (builtin confusing pairs) and an empty
+    oracle, exactly like training on unlabeled on-disk files; report
+    listings re-read the file on demand. *)
+let build_refs ?patterns (cfg : config) ~lang (refs : file_ref list) : t =
+  let loaders = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace loaders r.fr_path r.fr_load) refs;
+  let t =
+    Telemetry.with_span "build" @@ fun () ->
+    Partial.finalize ?patterns cfg (Partial.of_refs cfg ~lang refs)
+  in
+  {
+    t with
+    source_of =
+      (fun path ->
+        match Hashtbl.find_opt loaders path with
+        | None -> None
+        | Some load -> ( try Some (load ()) with _ -> None));
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Scanning against a model, with an incremental cache                 *)
@@ -1490,7 +1393,7 @@ let scan_refs ?(jobs = 1) ?(cap_domains = true) ?pool ?cache_dir (m : model)
               end);
           rows_rev := row :: !rows_rev)
         matched)
-    (chunk (max 1 cfg.digest_batch) refs);
+    (Shard.chunks ~size:cfg.digest_batch refs);
   (match cache_dir with
   | Some _ ->
       Telemetry.count ~by:!n_hits "scan_cache.hits";

@@ -103,7 +103,7 @@ val builtin_pairs : Corpus.lang -> (string * string) list
     end of its digest. *)
 
 type file_ref = {
-  fr_repo : string;  (** shard key — files of one repo stay contiguous *)
+  fr_repo : string;  (** the repository the file belongs to *)
   fr_path : string;
   fr_load : unit -> string;  (** called once per digest, on a worker domain *)
 }
@@ -120,16 +120,17 @@ val reset_in_flight_peak : unit -> unit
 
 val in_flight_sources_peak : unit -> int
 
-(** [build ?patterns cfg corpus] runs the full training pipeline.
-    [patterns] short-circuits mining with a pre-mined store (the
+(** [build ?patterns cfg corpus] runs the full training pipeline:
+    [Partial.finalize (Partial.of_corpus cfg corpus)] with the corpus's
+    oracle, under one "build" span.  [patterns] short-circuits mining with a pre-mined store (the
     mine-once / scan-many workflow of the CLI).  With [cfg.jobs > 1] the
     per-file digesting, pair mining, mining statistics, scan and feature
     extraction run sharded on a domain pool, merged deterministically —
     the result is bit-identical to a [jobs = 1] build. *)
 val build : ?patterns:Pattern.Store.t -> config -> Corpus.t -> t
 
-(** [build_refs cfg ~lang refs] — the same pipeline over streaming refs:
-    sources are loaded batch-by-batch and dropped after digesting, so a
+(** [build_refs cfg ~lang refs] — the same pipeline over streaming refs,
+    [Partial.finalize (Partial.of_refs cfg ~lang refs)]: sources are loaded batch-by-batch and dropped after digesting, so a
     corpus far larger than memory trains in O(digest_batch × jobs) peak
     source residency.  No commit history (builtin confusing pairs apply)
     and an empty oracle — the CLI's on-disk training shape. *)
@@ -216,11 +217,13 @@ val load_model : path:string -> model
 
     {v train(A + B) ≡ merge(train A, train B) v}
 
-    — finalizing the merge of slice partials yields a model whose scan
-    reports are byte-identical to those of a model trained on the
-    concatenated corpus, for every split, permutation and
-    parenthesization (DESIGN.md §13; property-tested in
-    [test/test_partial_model.ml]). *)
+    by construction: every training run is {!Partial.finalize} of a
+    {!Partial.of_refs} digest, and that digest is itself a {!Partial.merge_all}
+    of its shards.  Finalizing the merge of slice partials yields a model
+    whose scan reports are byte-identical to those of a model trained on
+    the concatenated corpus, for every split, permutation and
+    parenthesization; merged in corpus order, the model bytes are too
+    (DESIGN.md §13; property-tested in [test/test_partial_model.ml]). *)
 module Partial : sig
   type build := t
 
@@ -249,10 +252,12 @@ module Partial : sig
 
   val of_refs : ?commits:(string * string) list -> config -> lang:Corpus.lang ->
     file_ref list -> t
-  (** Digest one corpus slice into a partial: the streaming frontend of
-      {!build_refs} with every downstream stage deferred to {!finalize}.
-      [commits] are tallied into unpruned pair counts that sum under
-      {!merge}. *)
+  (** Digest one corpus slice into a partial — the only training digest.
+      Each shard interns into its own table and becomes a partial; the
+      shard partials fold in order through {!merge_all}, so the global
+      interner is never written and the bytes are the same for every
+      [jobs] and [digest_batch].  [commits] are tallied into unpruned
+      pair counts that sum under {!merge}. *)
 
   val of_corpus : config -> Corpus.t -> t
   (** [of_refs] over an in-memory corpus, commits included. *)
@@ -263,16 +268,18 @@ module Partial : sig
       on incompatible config/language or overlapping files. *)
 
   val merge_all : t list -> t
-  (** Left fold of {!merge}; {!empty} for [[]]. *)
+  (** Equal to the left fold of {!merge} ({!empty} for [[]]), in one pass
+      linear in the total vocabulary. *)
 
   val finalize :
     ?patterns:Pattern.Store.t ->
     ?oracle:(unit -> Corpus.Oracle.t) -> config -> t -> build
-  (** Run mining, scanning and supervision over the partial's replayed
-      statements — the build a direct train of the concatenated slices
-      would produce.  [oracle] (default empty, as for directory training)
-      grades the labeled sample when the slices came from a generated
-      corpus. *)
+  (** The only training suffix: run mining, scanning and supervision
+      over the partial's replayed statements — the vocabulary replay is
+      the only place training writes the global interner.  [oracle]
+      (default empty, as for directory training) grades the labeled
+      sample when the slices came from a generated corpus; report
+      listings re-read files from disk. *)
 
   val save : t -> path:string -> string
   (** Atomic write; returns the partial's checksum identity. *)

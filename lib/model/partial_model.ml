@@ -14,9 +14,11 @@
       builtin-catalog fallback are finalize-time decisions).
 
     [merge] is closed and associative; the empty partial is its identity;
-    re-merging a slice (any file overlap) is rejected.  The algebra is what
-    makes [train(A+B) ≡ merge(train A, train B)] hold — see DESIGN.md §13
-    and the qcheck suite in [test/test_partial_model.ml]. *)
+    re-merging a slice (any file overlap) is rejected.  Every training run
+    goes through the algebra — shards fold into a partial, a model is the
+    finalize of a partial — so [train(A+B) ≡ merge(train A, train B)]
+    holds by construction; see DESIGN.md §13 and the qcheck suite in
+    [test/test_partial_model.ml]. *)
 
 module Interner = Namer_util.Interner
 
@@ -75,83 +77,87 @@ let n_repos p =
 (* Merge                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let merge a b =
-  (* the empty partial is a two-sided identity, whatever its meta *)
-  if is_empty a then b
-  else if is_empty b then a
-  else begin
-    if a.pm_lang <> b.pm_lang then
-      merge_errf "cannot merge partials of different languages (%s vs %s)"
-        a.pm_lang b.pm_lang;
-    if a.pm_use_analysis <> b.pm_use_analysis then
-      merge_errf
-        "cannot merge partials with different analysis settings (one was \
-         digested with origin analysis, the other without)";
-    if a.pm_max_stmt_paths <> b.pm_max_stmt_paths then
-      merge_errf
-        "cannot merge partials with different per-statement path caps (%d vs \
-         %d) — the cap shapes the digests themselves"
-        a.pm_max_stmt_paths b.pm_max_stmt_paths;
-    (* slices must be disjoint: re-merging a slice would double-count its
-       statements (this also rejects the idempotent self re-merge) *)
-    let seen = Hashtbl.create (Array.length a.pm_files) in
-    Array.iter (fun fp -> Hashtbl.replace seen fp ()) a.pm_files;
-    Array.iter
-      (fun ((_, path) as fp) ->
-        if Hashtbl.mem seen fp then
-          merge_errf
-            "both partials contain file %s — partials must cover disjoint \
-             corpus slices (a slice cannot be merged in twice)"
-            path)
-      b.pm_files;
-    (* vocab merge via the interner's remap machinery: [a]'s texts keep
-       their indices, [b]'s texts intern after them in [b]'s order — the
-       merged vocab is the first-seen order over [a]'s statements followed
-       by [b]'s, exactly what a direct digest of the concatenation sees *)
-    let ia = Interner.create ~size:(Array.length a.pm_vocab) () in
-    Array.iter (fun s -> ignore (Interner.intern ia s)) a.pm_vocab;
-    let ib = Interner.create ~size:(Array.length b.pm_vocab) () in
-    Array.iter (fun s -> ignore (Interner.intern ib s)) b.pm_vocab;
-    let map = Interner.remap ~into:ia ib in
-    let vocab = Array.make (Interner.size ia) "" in
-    Interner.iter (fun id s -> vocab.(id) <- s) ia;
-    let off = Array.length a.pm_files in
-    let b_stmts =
-      Array.map
-        (fun ps ->
-          {
-            ps with
-            ps_file = ps.ps_file + off;
-            ps_paths = Array.map (fun i -> map.(i)) ps.ps_paths;
-          })
-        b.pm_stmts
-    in
-    (* pair tallies sum (commutative, associative); sorted bindings keep
-       the serialized form canonical *)
-    let tally = Hashtbl.create 64 in
-    List.iter
-      (fun (pr, c) ->
-        Hashtbl.replace tally pr
-          (c + Option.value ~default:0 (Hashtbl.find_opt tally pr)))
-      (a.pm_pairs @ b.pm_pairs);
-    let pairs =
-      Hashtbl.fold (fun pr c acc -> ((pr, c) : (string * string) * int) :: acc) tally []
-      |> List.sort compare
-    in
-    {
-      a with
-      pm_vocab = vocab;
-      pm_files = Array.append a.pm_files b.pm_files;
-      pm_stmts = Array.append a.pm_stmts b_stmts;
-      pm_skipped =
-        Array.append a.pm_skipped
-          (Array.map (fun (i, r) -> (i + off, r)) b.pm_skipped);
-      pm_pairs = pairs;
-      pm_n_commits = a.pm_n_commits + b.pm_n_commits;
-    }
-  end
+(* Fold [ps] in order in one pass: one running vocab interner, so the
+   cost is linear in the total vocabulary however many partials there
+   are.  The empty partial is a two-sided identity, whatever its meta. *)
+let merge_all ps =
+  match List.filter (fun p -> not (is_empty p)) ps with
+  | [] -> empty
+  | [ p ] -> p
+  | first :: _ as ps ->
+      let seen = Hashtbl.create 4096 in
+      let vocab =
+        Interner.create ~size:(List.fold_left (fun n p -> n + Array.length p.pm_vocab) 0 ps) ()
+      in
+      let tally = Hashtbl.create 64 in
+      let n_files = ref 0 in
+      let parts =
+        List.map
+          (fun p ->
+            if p.pm_lang <> first.pm_lang then
+              merge_errf "cannot merge partials of different languages (%s vs %s)"
+                first.pm_lang p.pm_lang;
+            if p.pm_use_analysis <> first.pm_use_analysis then
+              merge_errf
+                "cannot merge partials with different analysis settings (one was \
+                 digested with origin analysis, the other without)";
+            if p.pm_max_stmt_paths <> first.pm_max_stmt_paths then
+              merge_errf
+                "cannot merge partials with different per-statement path caps (%d vs \
+                 %d) — the cap shapes the digests themselves"
+                first.pm_max_stmt_paths p.pm_max_stmt_paths;
+            (* slices must be disjoint: re-merging a slice would double-count
+               its statements (this also rejects the idempotent self
+               re-merge) *)
+            Array.iter
+              (fun ((_, path) as fp) ->
+                if Hashtbl.mem seen fp then
+                  merge_errf
+                    "both partials contain file %s — partials must cover disjoint \
+                     corpus slices (a slice cannot be merged in twice)"
+                    path)
+              p.pm_files;
+            Array.iter (fun fp -> Hashtbl.replace seen fp ()) p.pm_files;
+            (* earlier texts keep their indices, this partial's new texts
+               intern after them in its own order — the merged vocab is the
+               first-seen order over the concatenated statements, exactly
+               what a direct digest of the concatenation sees *)
+            let map = Array.map (Interner.intern vocab) p.pm_vocab in
+            let off = !n_files in
+            n_files := off + Array.length p.pm_files;
+            (* pair tallies sum (commutative, associative) *)
+            List.iter
+              (fun (pr, c) ->
+                Hashtbl.replace tally pr
+                  (c + Option.value ~default:0 (Hashtbl.find_opt tally pr)))
+              p.pm_pairs;
+            ( Array.map
+                (fun ps ->
+                  {
+                    ps with
+                    ps_file = ps.ps_file + off;
+                    ps_paths = Array.map (fun i -> map.(i)) ps.ps_paths;
+                  })
+                p.pm_stmts,
+              Array.map (fun (i, r) -> (i + off, r)) p.pm_skipped ))
+          ps
+      in
+      let vocab_arr = Array.make (Interner.size vocab) "" in
+      Interner.iter (fun id s -> vocab_arr.(id) <- s) vocab;
+      {
+        first with
+        pm_vocab = vocab_arr;
+        pm_files = Array.concat (List.map (fun p -> p.pm_files) ps);
+        pm_stmts = Array.concat (List.map fst parts);
+        pm_skipped = Array.concat (List.map snd parts);
+        (* sorted bindings keep the serialized form canonical *)
+        pm_pairs =
+          Hashtbl.fold (fun pr c acc -> ((pr, c) : (string * string) * int) :: acc) tally []
+          |> List.sort compare;
+        pm_n_commits = List.fold_left (fun n p -> n + p.pm_n_commits) 0 ps;
+      }
 
-let merge_all = function [] -> empty | p :: ps -> List.fold_left merge p ps
+let merge a b = merge_all [ a; b ]
 
 (* ------------------------------------------------------------------ *)
 (* Serialization                                                       *)

@@ -6,10 +6,12 @@
     statements as vocab-index arrays, its file list and skipped files, and
     its unpruned confusing-pair tallies.  {!merge} combines two partials
     covering disjoint slices into the partial of their concatenation —
-    closed and associative, with {!empty} as identity — via the
-    {!Namer_util.Interner.remap} merge machinery, so that
-    [train(A+B) ≡ merge(train A, train B)] (the contract of DESIGN.md §13,
-    property-tested in [test/test_partial_model.ml]).
+    closed and associative, with {!empty} as identity.  Every training
+    run is such a merge: a digest packages each shard as a partial and
+    folds them with {!merge_all}, and a model is always the finalize of a
+    partial, so [train(A+B) ≡ merge(train A, train B)] holds by
+    construction (DESIGN.md §13; property-tested in
+    [test/test_partial_model.ml]).
 
     This module owns the representation and the algebra; digesting a corpus
     slice into a partial and finalizing a partial into a scan model live in
@@ -55,13 +57,17 @@ val n_repos : t -> int
 
 val merge : t -> t -> t
 (** [merge a b] is the partial of slice [a] followed by slice [b]:
-    vocabularies remap-merge, statements and files concatenate with
-    reindexing, pair tallies sum.  Associative; commutative up to
-    statement order (finalized scan reports are order-insensitive).
+    vocabularies merge in first-seen order, statements and files
+    concatenate with reindexing, pair tallies sum.  Associative;
+    commutative up to statement order (finalized scan reports are
+    order-insensitive).  [merge a b = merge_all [a; b]].
     @raise Merge_error on incompatible or overlapping operands. *)
 
 val merge_all : t list -> t
-(** Left fold of {!merge} over the list ({!empty} for [[]]). *)
+(** The partial of the slices in list order ({!empty} for [[]]): equal,
+    byte for byte, to the left fold of {!merge}, but one pass with one
+    running vocabulary — linear in the total vocabulary, however many
+    partials are folded. *)
 
 val partial_magic : string
 val partial_version : int

@@ -118,9 +118,10 @@ module Interner = Namer_util.Interner
     path id, so "sort by canonical text" becomes an integer sort.
 
     Multicore contract: the implicit {!global} table is populated
-    sequentially (or by {!remap}-merging shard-local tables in shard
-    order), then {!freeze}-frozen before worker domains fan out; frozen
-    tables are read-only and safe to share.  A scan against a model only
+    sequentially — a training digest interns into shard-local tables and
+    reaches it only through a partial model's vocabulary replay — then
+    {!freeze}-frozen before worker domains fan out; frozen tables are
+    read-only and safe to share.  A scan against a model only
     reads the table ({!scan_tree}); names the model never saw go to a
     per-shard {!overlay}, so concurrent scan shards share it unlocked.  Strings survive only at the
     serialization boundary ({!Namepath.of_string}/{!to_string},
@@ -423,34 +424,6 @@ module Interned = struct
   let preload_global ~prefixes ~ends =
     List.iter (fun s -> ignore (Interner.intern global.prefixes s)) prefixes;
     List.iter (fun e -> ignore (intern_end global e)) ends
-
-  (** Id translations from a shard-local table into the global one. *)
-  type remap = { path_map : int array; prefix_map : int array; end_map : int array }
-
-  (** [remap_into_global local] interns every string of [local] into the
-      global table, in [local]'s first-seen id order, and returns the id
-      translations.  Merging shard-local tables in shard order reproduces
-      the id assignment of a sequential interning pass, which is why a
-      [jobs = N] build is byte-identical to [jobs = 1]. *)
-  let remap_into_global (local : table) : remap =
-    let prefix_map = Interner.remap ~into:global.prefixes local.prefixes in
-    let end_map = Array.make (Interner.size local.ends) (-1) in
-    Interner.iter (fun id e -> end_map.(id) <- intern_end global e) local.ends;
-    let path_map = Array.make (Interner.size local.paths) (-1) in
-    Interner.iter
-      (fun id text -> path_map.(id) <- intern_path global local.by_pid.(id) text)
-      local.paths;
-    { path_map; prefix_map; end_map }
-
-  (** Translate one interned path through a {!remap}. *)
-  let apply_remap (m : remap) (it : t) : t =
-    {
-      it with
-      pid = m.path_map.(it.pid);
-      prefix = m.prefix_map.(it.prefix);
-      end_ = (if it.end_ < 0 then -1 else m.end_map.(it.end_));
-      sym = m.path_map.(it.sym);
-    }
 end
 
 (** Fused fast path: {!extract} and {!Interned.of_paths} in one traversal,

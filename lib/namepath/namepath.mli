@@ -54,10 +54,10 @@ val of_string : string -> t
     the mining/scan hot loops compare, hash and sort machine integers.
 
     Interning normally targets the implicit {!Interned.global} table.  The
-    multicore contract: populate sequentially — or digest into
-    {!Interned.create_table} shard-local tables on worker domains and
-    {!Interned.remap_into_global}-merge them in shard order, which
-    reproduces the sequential id assignment exactly — then
+    multicore contract: populate it sequentially — a training digest
+    interns into {!Interned.create_table} shard-local tables instead, and
+    reaches the global table only through a partial model's vocabulary
+    replay, which reproduces the sequential id assignment exactly — then
     {!Interned.freeze} before domains fan out; a frozen table is read-only
     and safe to share.  A scan only looks the global table up
     ({!Interned.scan_tree}) and gives names the model never saw ids in a
@@ -162,15 +162,6 @@ module Interned : sig
       exact id (and lowercase-fold) reproduction on an empty table, a
       harmless merge otherwise.  @raise Invalid_argument when frozen. *)
   val preload_global : prefixes:string list -> ends:string list -> unit
-
-  (** Id translations from a shard-local table into the global one. *)
-  type remap = { path_map : int array; prefix_map : int array; end_map : int array }
-
-  (** Merge a shard-local table into {!global} (in first-seen order; call in
-      shard order to reproduce the sequential id assignment). *)
-  val remap_into_global : table -> remap
-
-  val apply_remap : remap -> t -> t
 end
 
 (** Alias for {!Interned.extract_tree}. *)

@@ -8,15 +8,10 @@ module type MERGEABLE = sig
   val merge : into:t -> t -> unit
 end
 
-let plan ?key ~shards xs =
-  match key with
-  | Some key -> Shard.contiguous_by_key ~shards ~key xs
-  | None -> Shard.contiguous ~shards xs
-
 module Events = Namer_obs.Events
 
-let sharded_map ?pool ?key ~shards f xs =
-  let shards_l = plan ?key ~shards xs in
+let sharded_map ?pool ~shards f xs =
+  let shards_l = Shard.contiguous ~shards xs in
   match pool with
   | None -> List.map f shards_l
   | Some pool ->
@@ -55,12 +50,12 @@ let sharded_map ?pool ?key ~shards f xs =
         indexed
         (Pool.map_list_results pool (fun (idx, shard) -> run_shard idx shard) indexed)
 
-let sharded_concat_map ?pool ?key ~shards f xs =
-  List.concat (sharded_map ?pool ?key ~shards f xs)
+let sharded_concat_map ?pool ~shards f xs =
+  List.concat (sharded_map ?pool ~shards f xs)
 
-let sharded_reduce (type acc) (module M : MERGEABLE with type t = acc) ?pool ?key
-    ~shards (f : 'a list -> acc) (xs : 'a list) : acc =
-  let parts = sharded_map ?pool ?key ~shards f xs in
+let sharded_reduce (type acc) (module M : MERGEABLE with type t = acc) ?pool ~shards
+    (f : 'a list -> acc) (xs : 'a list) : acc =
+  let parts = sharded_map ?pool ~shards f xs in
   let into = M.empty () in
   List.iter (fun part -> M.merge ~into part) parts;
   into

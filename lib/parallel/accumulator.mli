@@ -18,7 +18,7 @@ module type MERGEABLE = sig
   val merge : into:t -> t -> unit
 end
 
-(** [sharded_map ?pool ?key ~shards f xs] applies [f] to every contiguous
+(** [sharded_map ?pool ~shards f xs] applies [f] to every contiguous
     shard of [xs] — on the pool's domains when [pool] is [Some], inline
     otherwise — and returns the per-shard results in shard order.
 
@@ -29,7 +29,6 @@ end
     exception: that is a deterministic bug in [f], not a transient. *)
 val sharded_map :
   ?pool:Pool.t ->
-  ?key:('a -> string) ->
   shards:int ->
   ('a list -> 'b) ->
   'a list ->
@@ -39,18 +38,16 @@ val sharded_map :
     so the output order equals the sequential [List.concat_map]. *)
 val sharded_concat_map :
   ?pool:Pool.t ->
-  ?key:('a -> string) ->
   shards:int ->
   ('a list -> 'b list) ->
   'a list ->
   'b list
 
-(** [sharded_reduce (module M) ?pool ?key ~shards f xs] maps every shard to
+(** [sharded_reduce (module M) ?pool ~shards f xs] maps every shard to
     an [M.t] and merges them into one accumulator in shard order. *)
 val sharded_reduce :
   (module MERGEABLE with type t = 'acc) ->
   ?pool:Pool.t ->
-  ?key:('a -> string) ->
   shards:int ->
   ('a list -> 'acc) ->
   'a list ->

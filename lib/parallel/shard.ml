@@ -3,52 +3,21 @@
 
 let oversubscribe ~jobs = 4 * max 1 jobs
 
-(* Greedy packer over pre-computed runs: close the current shard once it
-   reaches [target] elements.  Runs longer than [target] become their own
-   shard.  Pure in (runs, target). *)
-let pack ~target runs =
-  let flush cur acc = if cur = [] then acc else List.concat (List.rev cur) :: acc in
-  let shards, cur, _ =
-    List.fold_left
-      (fun (acc, cur, cur_len) (run, run_len) ->
-        if cur_len > 0 && cur_len + run_len > target then
-          (flush cur acc, [ run ], run_len)
-        else (acc, run :: cur, cur_len + run_len))
-      ([], [], 0) runs
+let chunks ~size xs =
+  let size = max 1 size in
+  let rec take k acc = function
+    | rest when k = 0 -> (List.rev acc, rest)
+    | [] -> (List.rev acc, [])
+    | x :: rest -> take (k - 1) (x :: acc) rest
   in
-  List.rev (flush cur shards)
+  let rec go acc = function
+    | [] -> List.rev acc
+    | xs ->
+        let chunk, rest = take size [] xs in
+        go (chunk :: acc) rest
+  in
+  go [] xs
 
 let contiguous ~shards xs =
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let shards = max 1 shards in
-    let target = (n + shards - 1) / shards in
-    (* every element is its own run *)
-    pack ~target (List.map (fun x -> ([ x ], 1)) xs)
-  end
-
-(* Consecutive elements with equal keys collapse into one run. *)
-let runs_by_key ~key xs =
-  let close k items len acc = ((k, List.rev items, len) :: acc) in
-  let rec go acc cur = function
-    | [] -> ( match cur with None -> List.rev acc | Some (k, items, len) -> List.rev (close k items len acc))
-    | x :: rest -> (
-        let kx = key x in
-        match cur with
-        | Some (k, items, len) when String.equal k kx ->
-            go acc (Some (k, x :: items, len + 1)) rest
-        | Some (k, items, len) -> go (close k items len acc) (Some (kx, [ x ], 1)) rest
-        | None -> go acc (Some (kx, [ x ], 1)) rest)
-  in
-  go [] None xs
-
-let contiguous_by_key ~shards ~key xs =
-  let n = List.length xs in
-  if n = 0 then []
-  else begin
-    let shards = max 1 shards in
-    let target = (n + shards - 1) / shards in
-    let runs = List.map (fun (_, items, len) -> (items, len)) (runs_by_key ~key xs) in
-    pack ~target runs
-  end
+  let shards = max 1 shards in
+  chunks ~size:((List.length xs + shards - 1) / shards) xs

@@ -13,13 +13,11 @@
     [List.concat (contiguous ~shards xs) = xs]. *)
 val contiguous : shards:int -> 'a list -> 'a list list
 
-(** [contiguous_by_key ~shards ~key xs] additionally never splits a run of
-    consecutive elements with the same key, so a repository whose files are
-    stored contiguously (as corpus generators and directory walks produce
-    them) is digested whole by a single domain and its per-shard interners
-    and counters stay repo-local.  Chunk count may slightly exceed or fall
-    short of [shards] when key runs are coarse. *)
-val contiguous_by_key : shards:int -> key:('a -> string) -> 'a list -> 'a list list
+(** [chunks ~size xs] splits [xs] into consecutive slices of [size]
+    ([>= 1]) elements, the last one possibly shorter — the streaming
+    batch plan.  [List.concat (chunks ~size xs) = xs]; first-seen order
+    over the concatenation of the slices is first-seen order over [xs]. *)
+val chunks : size:int -> 'a list -> 'a list list
 
 (** Shard count heuristic: [oversubscribe ~jobs] = [4 × jobs], enough
     slack for the work-stealing pool to rebalance uneven shards. *)

@@ -208,16 +208,6 @@ module Stmt_paths = struct
   (** The distinct concrete prefix ids, leaf order — the digest's own index,
       shared, not rebuilt per call. *)
   let prefix_ids t = t.index_prefix
-
-  (** Translate a digest built on a shard-local table into global ids. *)
-  let remap (m : I.remap) t =
-    {
-      ipaths = Array.map (I.apply_remap m) t.ipaths;
-      index_prefix = Array.map (fun p -> m.I.prefix_map.(p)) t.index_prefix;
-      index_end = Array.map (fun e -> m.I.end_map.(e)) t.index_end;
-      n_paths = t.n_paths;
-      overlay = t.overlay;
-    }
 end
 
 (* ------------------------------------------------------------------ *)

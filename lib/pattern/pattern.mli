@@ -56,7 +56,7 @@ module Stmt_paths : sig
   }
 
   (** Digest a path list; [table] (default the global table) lets worker
-      domains intern into shard-local tables and {!remap} later. *)
+      domains intern into shard-local tables. *)
   val of_paths : ?table:Namepath.Interned.table -> Namepath.t list -> t
 
   (** Assemble a digest from already-interned paths — the partial-model
@@ -81,9 +81,6 @@ module Stmt_paths : sig
 
   (** The digest's own prefix-id index (shared array — do not mutate). *)
   val prefix_ids : t -> int array
-
-  (** Translate a shard-local digest into global ids. *)
-  val remap : Namepath.Interned.remap -> t -> t
 end
 
 (** One violated occurrence: the offending subtoken and the deduced fix. *)

@@ -61,10 +61,10 @@ let enabled_flag = ref false
 let epoch = ref 0.0
 let spans_rev : span list ref = ref []
 
-(* Span nesting depth is a per-domain notion: each domain nests its own
-   spans independently, so depth lives in domain-local storage rather than
-   behind the mutex. *)
-let depth_key : int ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref 0)
+(* Span nesting is a per-domain notion: each domain nests its own spans
+   independently, so the names of the open spans (innermost first) live in
+   domain-local storage rather than behind the mutex. *)
+let open_key : string list ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref [])
 let hists_tbl : (string, float list ref) Hashtbl.t = Hashtbl.create 16
 
 let locked f =
@@ -89,7 +89,7 @@ let counters_key : (string, int ref) Hashtbl.t Domain.DLS.key =
 
 let clear_unlocked () =
   spans_rev := [];
-  Domain.DLS.get depth_key := 0;
+  Domain.DLS.get open_key := [];
   (* Clear contents but keep every table registered: live domains hold DLS
      references to theirs and would otherwise increment orphans. *)
   List.iter Hashtbl.reset !counter_tables;
@@ -122,42 +122,48 @@ let bytes_per_word = float_of_int (Sys.word_size / 8)
     disabled this is a single branch around [f].  [record_ms] additionally
     feeds the span's duration (in ms) into the named histogram — used for
     per-file latency distributions.  The span is closed (and recorded) even
-    when [f] raises. *)
+    when [f] raises.  A span opened inside an open span of the same name on
+    the same domain is folded into it — not recorded — so a stage that
+    calls into code opening its own span of that name (a direct build
+    around a finalize, both "build") is counted once. *)
 let with_span ?(args = []) ?record_ms name f =
   if not !enabled_flag then f ()
-  else begin
-    let depth_ref = Domain.DLS.get depth_key in
-    let d = !depth_ref in
-    depth_ref := d + 1;
-    let tid = (Domain.self () :> int) in
-    let g0 = alloc_words (Gc.quick_stat ()) in
-    let t0 = Unix.gettimeofday () in
-    let finish () =
-      let t1 = Unix.gettimeofday () in
-      let g1 = alloc_words (Gc.quick_stat ()) in
-      depth_ref := d;
-      locked (fun () ->
-          spans_rev :=
-            {
-              name;
-              ts_us = (t0 -. !epoch) *. 1e6;
-              dur_us = (t1 -. t0) *. 1e6;
-              depth = d;
-              tid;
-              alloc_bytes = (g1 -. g0) *. bytes_per_word;
-              args;
-            }
-            :: !spans_rev;
-          match record_ms with
-          | None -> ()
-          | Some h -> (
-              let v = (t1 -. t0) *. 1e3 in
-              match Hashtbl.find_opt hists_tbl h with
-              | Some r -> r := v :: !r
-              | None -> Hashtbl.replace hists_tbl h (ref [ v ])))
-    in
-    Fun.protect ~finally:finish f
-  end
+  else
+    let open_ref = Domain.DLS.get open_key in
+    let outer = !open_ref in
+    if List.mem name outer then f ()
+    else begin
+      open_ref := name :: outer;
+      let d = List.length outer in
+      let tid = (Domain.self () :> int) in
+      let g0 = alloc_words (Gc.quick_stat ()) in
+      let t0 = Unix.gettimeofday () in
+      let finish () =
+        let t1 = Unix.gettimeofday () in
+        let g1 = alloc_words (Gc.quick_stat ()) in
+        open_ref := outer;
+        locked (fun () ->
+            spans_rev :=
+              {
+                name;
+                ts_us = (t0 -. !epoch) *. 1e6;
+                dur_us = (t1 -. t0) *. 1e6;
+                depth = d;
+                tid;
+                alloc_bytes = (g1 -. g0) *. bytes_per_word;
+                args;
+              }
+              :: !spans_rev;
+            match record_ms with
+            | None -> ()
+            | Some h -> (
+                let v = (t1 -. t0) *. 1e3 in
+                match Hashtbl.find_opt hists_tbl h with
+                | Some r -> r := v :: !r
+                | None -> Hashtbl.replace hists_tbl h (ref [ v ])))
+      in
+      Fun.protect ~finally:finish f
+    end
 
 (** Increment the named process-wide counter — lock-free on the calling
     domain's own shard. *)

@@ -75,10 +75,8 @@ let iter f t =
 
 (** [remap ~into t] interns every string of [t] into [into] (in [t]'s
     first-seen id order) and returns the translation array [m] with
-    [name into m.(id) = name t id].  This is the shard-merge step of the
-    hash-consed pipeline: per-shard local interners built on worker domains
-    are folded into the global table in shard order, so the global id
-    assignment is identical to what a sequential pass would have produced.
+    [name into m.(id) = name t id].  Folding interners in order this way
+    assigns the ids a sequential pass over their strings would have.
     [into] must not be frozen unless every string of [t] is already known
     to it. *)
 let remap ~into t =

@@ -3,8 +3,8 @@
 
     Interners can be {!freeze}-frozen into read-only lookup tables, the
     multicore contract of the hash-consed pipeline (one domain populates,
-    freezes, read-only shards fan out), and {!remap}-merged (per-shard
-    local tables folded into a global one in shard order). *)
+    freezes, read-only shards fan out), and {!remap}-merged (one interner's
+    strings folded into another in first-seen order). *)
 
 type t
 

@@ -124,28 +124,6 @@ let test_shard_concat_identity () =
         (List.concat (Shard.contiguous ~shards xs)))
     [ 1; 2; 3; 5; 16; 64 ]
 
-let test_shard_by_key_runs () =
-  (* files grouped by repo: no shard may split a repo run *)
-  let xs =
-    List.concat_map
-      (fun r -> List.init 5 (fun i -> (Printf.sprintf "repo%d" r, i)))
-      [ 0; 1; 2; 3; 4; 5 ]
-  in
-  let plan = Shard.contiguous_by_key ~shards:4 ~key:fst xs in
-  Alcotest.(check (list (pair string int))) "concat = input" xs (List.concat plan);
-  List.iter
-    (fun shard ->
-      let repos = List.sort_uniq compare (List.map fst shard) in
-      (* each repo appears in exactly one shard *)
-      List.iter
-        (fun repo ->
-          let holders =
-            List.filter (fun s -> List.exists (fun (r, _) -> r = repo) s) plan
-          in
-          Alcotest.(check int) (repo ^ " in one shard") 1 (List.length holders))
-        repos)
-    plan
-
 let prop_shard_merge_deterministic =
   QCheck.Test.make ~name:"parallel: counter reduce independent of shard count"
     ~count:50
@@ -200,8 +178,8 @@ let test_jobs_byte_equality () =
   let build ~jobs =
     (* cap_domains off: on a 1-core runner the cap would collapse jobs=4 to
        the inline path, and this test exists to exercise real worker
-       domains — shard-local interner tables, the remap merge, and the
-       frozen global table — against the sequential build. *)
+       domains — shard-local interner tables folded as shard partials,
+       and the frozen global table — against the sequential build. *)
     Namer.build
       { Namer.default_config with Namer.use_classifier = false; jobs; cap_domains = false }
       corpus
@@ -227,7 +205,6 @@ let suite =
     Alcotest.test_case "work stealing drains a pinned worker" `Quick test_pool_stealing;
     Alcotest.test_case "run: sequential vs pooled path" `Quick test_run_sequential_path;
     Alcotest.test_case "shard concat identity" `Quick test_shard_concat_identity;
-    Alcotest.test_case "sharding never splits a key run" `Quick test_shard_by_key_runs;
     QCheck_alcotest.to_alcotest prop_shard_merge_deterministic;
     QCheck_alcotest.to_alcotest prop_shard_concat_map_order;
     Alcotest.test_case "jobs=1 ≡ jobs=4 on a corpus" `Slow test_jobs_byte_equality;

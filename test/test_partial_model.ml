@@ -13,6 +13,7 @@ module Miner = Namer_mining.Miner
 module Snapshot = Namer_model.Snapshot
 module W = Namer_model.Binio.W
 module Prng = Namer_util.Prng
+module Interned = Namer_namepath.Namepath.Interned
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -163,7 +164,9 @@ let prop_merge_associative =
       | [ a; b; c3 ] ->
           let left = Partial.merge (Partial.merge a b) c3 in
           let right = Partial.merge a (Partial.merge b c3) in
+          let all = Partial.merge_all [ a; b; c3 ] in
           String.equal (fst (PM.encode left)) (fst (PM.encode right))
+          && String.equal (fst (PM.encode left)) (fst (PM.encode all))
       | _ -> false)
 
 let prop_empty_identity =
@@ -179,6 +182,87 @@ let prop_empty_identity =
           && String.equal bytes (fst (PM.encode (Partial.merge p Partial.empty)))
           && Partial.is_empty (Partial.merge Partial.empty Partial.empty)
       | _ -> false)
+
+(* -------- training never writes the global interner -------- *)
+
+(* A one-statement file whose names no other test uses: its ends reach
+   the global interner only if something interns them. *)
+let novel_ref tag =
+  let source = Printf.sprintf "qzx%sone = qzx%stwo(qzx%sthree)\n" tag tag tag in
+  {
+    Namer.fr_repo = "novel";
+    fr_path = Printf.sprintf "novel/%s.py" tag;
+    fr_load = (fun () -> source);
+  }
+
+let interner_size () =
+  let prefixes, ends = Interned.export_global () in
+  (List.length prefixes, List.length ends)
+
+let test_digest_leaves_interner_flat () =
+  let c = Lazy.force corpus in
+  let fa, _ = split_at 6 c.Corpus.files in
+  List.iter
+    (fun (jobs, tag) ->
+      let cfg = { namer_cfg with Namer.jobs; cap_domains = false } in
+      let before = interner_size () and ends = Interned.n_ends () in
+      let p =
+        Partial.of_refs cfg ~lang:Corpus.Python
+          (List.map Namer.ref_of_file fa @ [ novel_ref tag ])
+      in
+      check_bool "the novel file was digested" true (Partial.n_stmts p > 0);
+      check_int (Printf.sprintf "n_ends unchanged at jobs=%d" jobs) ends
+        (Interned.n_ends ());
+      check_bool
+        (Printf.sprintf "prefix and end counts unchanged at jobs=%d" jobs)
+        true
+        (before = interner_size ()))
+    [ (1, "flatjobsone"); (4, "flatjobsfour") ]
+
+let index_of x xs =
+  let rec go i = function
+    | [] -> Alcotest.failf "%s is not in the interner" x
+    | y :: rest -> if String.equal x y then i else go (i + 1) rest
+  in
+  go 0 xs
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+      really_input_string ic (in_channel_length ic))
+
+(* The update flow — a saved base partial loaded, the delta digested,
+   merged and finalized — gives the model bytes of a direct build over
+   base followed by delta.  The delta is digested before the base
+   partial exists, standing in for a base saved by an earlier process:
+   the only interning is the finalize's replay, base vocabulary first, so
+   the base's names take their ids before the delta's, as in a direct
+   build on a fresh table. *)
+let test_update_flow_is_direct_build () =
+  let c = Lazy.force corpus in
+  let fa, fb = split_at (List.length c.Corpus.files / 2) c.Corpus.files in
+  let base_refs = List.map Namer.ref_of_file fa @ [ novel_ref "updbase" ]
+  and delta_refs = List.map Namer.ref_of_file fb @ [ novel_ref "upddelta" ] in
+  let lang = Corpus.Python in
+  let delta = Partial.of_refs namer_cfg ~lang delta_refs in
+  let base_path = Filename.temp_file "test_update" ".nprt" in
+  ignore (Partial.save (Partial.of_refs namer_cfg ~lang base_refs) ~path:base_path);
+  let base, _ = Partial.load ~path:base_path in
+  Sys.remove base_path;
+  let save t =
+    let path = Filename.temp_file "test_update" ".nmdl" in
+    ignore (Namer.save_model t ~path);
+    let bytes = read_file path in
+    Sys.remove path;
+    bytes
+  in
+  let updated = save (Partial.finalize namer_cfg (Partial.merge base delta)) in
+  let _, ends = Interned.export_global () in
+  check_bool "base names interned before the delta's" true
+    (index_of "qzxupdbaseone" ends < index_of "qzxupddeltaone" ends);
+  let direct = save (Namer.build_refs namer_cfg ~lang (base_refs @ delta_refs)) in
+  check_bool "update model bytes = direct build model bytes" true
+    (String.equal updated direct)
 
 (* -------- rejection -------- *)
 
@@ -364,6 +448,10 @@ let suite =
     to_alcotest prop_split_permute_merge;
     to_alcotest prop_merge_associative;
     to_alcotest prop_empty_identity;
+    Alcotest.test_case "training digests leave the interner flat" `Quick
+      test_digest_leaves_interner_flat;
+    Alcotest.test_case "update flow = direct build, byte for byte" `Quick
+      test_update_flow_is_direct_build;
     Alcotest.test_case "rejects re-merging a slice" `Quick test_rejects_remerge;
     Alcotest.test_case "rejects incompatible partials" `Quick
       test_rejects_incompatible;

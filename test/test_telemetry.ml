@@ -60,6 +60,21 @@ let test_stage_aggregation () =
   Alcotest.(check bool) "table renders" true
     (String.length (T.stage_table ()) > 0)
 
+(* A span re-opened under the name of an enclosing one on the same domain
+   is folded into it: the stage is counted once, not twice. *)
+let test_same_name_nesting_folds () =
+  with_memory_sink @@ fun () ->
+  T.with_span "build" (fun () ->
+      T.with_span "digest" (fun () -> ());
+      T.with_span "build" (fun () -> T.with_span "mine" (fun () -> ())));
+  let names = List.map (fun (s : T.span) -> s.T.name) (T.spans ()) in
+  Alcotest.(check (list string)) "inner build folded" [ "build"; "digest"; "mine" ] names;
+  let mine = List.find (fun (s : T.span) -> s.T.name = "mine") (T.spans ()) in
+  Alcotest.(check int) "folded span adds no depth" 1 mine.T.depth;
+  T.with_span "build" (fun () -> ());
+  Alcotest.(check int) "sibling spans still count" 2
+    (List.find (fun (s : T.stage) -> s.T.stage = "build") (T.stages ())).T.s_count
+
 (* ---------------- counters and histograms ---------------- *)
 
 let test_counters () =
@@ -166,6 +181,7 @@ let suite =
     Alcotest.test_case "span nesting" `Quick test_span_nesting;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safety;
     Alcotest.test_case "stage aggregation" `Quick test_stage_aggregation;
+    Alcotest.test_case "same-name nesting folds" `Quick test_same_name_nesting_folds;
     Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "histograms" `Quick test_histograms;
     Alcotest.test_case "record_ms" `Quick test_record_ms;
